@@ -15,7 +15,6 @@ families implemented here are all crackable outright.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,20 +41,50 @@ def _rand_bits(rng: np.random.Generator, bits: int) -> int:
     return out
 
 
+def _parities(rows: tuple[int, ...], x: int) -> int:
+    """Bit o of the result is the parity of ``rows[o] & x``."""
+    out = 0
+    for o, row in enumerate(rows):
+        out |= ((row & x).bit_count() & 1) << o
+    return out
+
+
+def _batch_parities(rows: tuple[int, ...], xs: np.ndarray) -> np.ndarray:
+    """``_parities`` over an array of inputs."""
+    xs = xs.astype(np.uint64)
+    out = np.zeros(xs.shape, dtype=np.int64)
+    for o, row in enumerate(rows):
+        out |= (np.bitwise_count(xs & np.uint64(row)) & 1).astype(np.int64) << o
+    return out
+
+
+def _columns_to_rows(r: int, m: int, cols) -> tuple[int, ...]:
+    """Transpose r m-bit columns into m r-bit row masks."""
+    cols = tuple(int(c) for c in cols)
+    if len(cols) != r:
+        raise ValueError("affine kinds need one column per input bit")
+    if any(not 0 <= c < 1 << m for c in cols):
+        raise ValueError("affine columns must fit in m bits")
+    return tuple(sum(((c >> o) & 1) << j for j, c in enumerate(cols)) for o in range(m))
+
+
 @dataclass(frozen=True, eq=False)
 class KeyFunction:
     """m-bit key from two r-bit inputs.
 
-    Affine kinds carry per-bit output contributions (``cols_a[j]`` is the
-    m-bit toggle applied when bit j of the left input is set); the table kind
-    stores the full lookup array instead.
+    Affine kinds are GF(2) row masks, m per side. Bit j of ``rows_a[o]`` is
+    bit o of the m-bit toggle that bit j of the left input applies, so the
+    rows are the transpose of those per-input-bit columns, and output bit o
+    is parity(rows_a[o] & ra) xor parity(rows_b[o] & rb) xor bit o of
+    ``const``. The same rows are the left-hand sides of the attack's linear
+    system. The table kind stores the full lookup array instead.
     """
 
     kind: str
     r: int
     m: int
-    cols_a: tuple[int, ...] | None = None
-    cols_b: tuple[int, ...] | None = None
+    rows_a: tuple[int, ...] | None = None
+    rows_b: tuple[int, ...] | None = None
     const: int = 0
     table: np.ndarray | None = None
     a_seed: int | None = None
@@ -65,8 +94,13 @@ class KeyFunction:
         if not 1 <= self.m <= self.r:
             raise ValueError("need 1 <= m <= r")
         if self.table is None:
-            if self.cols_a is None or len(self.cols_a) != self.r or len(self.cols_b) != self.r:
-                raise ValueError("affine kinds need one column per input bit")
+            for rows in (self.rows_a, self.rows_b):
+                if rows is None or len(rows) != self.m:
+                    raise ValueError("affine kinds need one row mask per output bit")
+                if any(not 0 <= row < 1 << self.r for row in rows):
+                    raise ValueError("row masks must fit in r bits")
+            if not 0 <= self.const < 1 << self.m:
+                raise ValueError("const must fit in m bits")
         elif self.table.shape != (2**self.r, 2**self.r):
             raise ValueError("table shape must be 2^r by 2^r")
 
@@ -74,59 +108,33 @@ class KeyFunction:
     def is_affine(self) -> bool:
         return self.table is None
 
-    @cached_property
-    def _byte_tables(self):
-        # per-byte XOR lookup tables, one set per operand
-        def build(cols):
-            tabs = []
-            for lo in range(0, self.r, 8):
-                chunk = cols[lo:lo + 8]
-                tab = np.zeros(256, dtype=np.int64)
-                for v in range(256):
-                    acc = 0
-                    for j, c in enumerate(chunk):
-                        if (v >> j) & 1:
-                            acc ^= c
-                    tab[v] = acc
-                tabs.append(tab)
-            return tabs
-
-        return build(self.cols_a), build(self.cols_b)
-
     def value(self, ra: int, rb: int) -> int:
         if self.table is not None:
             return int(self.table[ra, rb])
-        tabs_a, tabs_b = self._byte_tables
-        acc = self.const
-        for i, tab in enumerate(tabs_a):
-            acc ^= int(tab[(ra >> (8 * i)) & 0xFF])
-        for i, tab in enumerate(tabs_b):
-            acc ^= int(tab[(rb >> (8 * i)) & 0xFF])
-        return acc
+        return self.const ^ _parities(self.rows_a, ra) ^ _parities(self.rows_b, rb)
 
     def batch_left(self, cands: np.ndarray, rb: int) -> np.ndarray:
         """f(c, rb) for an array of left inputs."""
         if self.table is not None:
             return self.table[cands, rb].astype(np.int64)
-        vals = np.full(cands.shape, self.value(0, rb), dtype=np.int64)
-        for j in range(self.r):
-            vals ^= np.where((cands >> j) & 1, self.cols_a[j], 0)
-        return vals
+        return _batch_parities(self.rows_a, cands) ^ (self.const ^ _parities(self.rows_b, rb))
 
     def batch_right(self, ra: int, cands: np.ndarray) -> np.ndarray:
         """f(ra, c) for an array of right inputs."""
         if self.table is not None:
             return self.table[ra, cands].astype(np.int64)
-        vals = np.full(cands.shape, self.value(ra, 0), dtype=np.int64)
-        for j in range(self.r):
-            vals ^= np.where((cands >> j) & 1, self.cols_b[j], 0)
-        return vals
+        return _batch_parities(self.rows_b, cands) ^ (self.const ^ _parities(self.rows_a, ra))
+
+
+def _affine(kind: str, r: int, m: int, cols_a, cols_b, const: int = 0, **seeds) -> KeyFunction:
+    return KeyFunction(kind, r, m, _columns_to_rows(r, m, cols_a),
+                       _columns_to_rows(r, m, cols_b), const, **seeds)
 
 
 def xor_trunc_key_function(r: int, m: int) -> KeyFunction:
     """Top m bits of the XOR of the two inputs."""
     cols = tuple(1 << (j - (r - m)) if j >= r - m else 0 for j in range(r))
-    return KeyFunction("xor_trunc", r, m, cols, cols, 0)
+    return _affine("xor_trunc", r, m, cols, cols)
 
 
 def affine_hash_key_function(r: int, m: int, rng: np.random.Generator) -> KeyFunction:
@@ -140,12 +148,12 @@ def affine_hash_key_function(r: int, m: int, rng: np.random.Generator) -> KeyFun
     shift = 2 * r - m
     cols_a = tuple(gf_mul(2 * r, a, 1 << (r + j)) >> shift for j in range(r))
     cols_b = tuple(gf_mul(2 * r, a, 1 << j) >> shift for j in range(r))
-    return KeyFunction("affine_hash", r, m, cols_a, cols_b, b >> shift, a_seed=a, b_seed=b)
+    return _affine("affine_hash", r, m, cols_a, cols_b, b >> shift, a_seed=a, b_seed=b)
 
 
 def affine_key_function(r: int, m: int, cols_a, cols_b, const: int = 0) -> KeyFunction:
     """Arbitrary GF(2)-affine key map given explicit bit contributions."""
-    return KeyFunction("affine", r, m, tuple(cols_a), tuple(cols_b), const)
+    return _affine("affine", r, m, cols_a, cols_b, const)
 
 
 def table_key_function(r: int, m: int, rng: np.random.Generator) -> KeyFunction:
@@ -328,20 +336,12 @@ class _Gf2System:
 
 
 def _affine_system(kf: KeyFunction, side: str, others, outcomes) -> _Gf2System:
-    cols = kf.cols_a if side == "a" else kf.cols_b
-    masks = []
-    for o in range(kf.m):
-        row = 0
-        for j in range(kf.r):
-            if (cols[j] >> o) & 1:
-                row |= 1 << j
-        masks.append(row)
+    rows, other_rows = (kf.rows_a, kf.rows_b) if side == "a" else (kf.rows_b, kf.rows_a)
     system = _Gf2System(kf.r)
     for other, outcome in zip(others, outcomes):
-        base = kf.value(0, other) if side == "a" else kf.value(other, 0)
-        rhs = outcome ^ base
-        for o in range(kf.m):
-            if not system.add(masks[o], (rhs >> o) & 1):
+        rhs = outcome ^ kf.const ^ _parities(other_rows, other)
+        for o, row in enumerate(rows):
+            if not system.add(row, (rhs >> o) & 1):
                 raise AssertionError("observations came from a real run")
     return system
 

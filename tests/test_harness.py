@@ -97,6 +97,19 @@ def test_moe_sampled_honest_tracks_expectation():
     assert rows["agree_rate"].trials == 500
 
 
+def test_moe_sampled_zero_wins_judged_by_expected_rate(capsys):
+    # 0 wins in 25 draws at p = 1/16 happens about 20% of the time; the
+    # verdict uses the expected rate's stderr, the emitted column the observed
+    code = main(["moe", "--strategy", "intercept", "--n", "4", "--trials", "25",
+                 "--seed", "1005"])
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert code == 0
+    assert [row.split(",")[-5:] for row in rows] == [
+        ["pwin", "0.0", "2e-07", "0.0625", "true"],
+        ["agree_rate", "0.0", "2e-07", "0.0625", "true"],
+    ]
+
+
 def test_moe_rejects_bad_inputs():
     with pytest.raises(ValueError, match="strategy"):
         run(RunConfig("moe", seed=1, strategy="bogus"))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moeqkd.nogo as nogo
 from moeqkd.hashing import gf_mul
@@ -232,25 +234,51 @@ def test_key_function_validation():
     with pytest.raises(ValueError):
         affine_key_function(4, 2, [0] * 3, [0] * 4)
     with pytest.raises(ValueError):
+        affine_key_function(4, 2, [4, 1, 0, 0], [0, 2, 0, 0])  # column wider than m
+    with pytest.raises(ValueError):
+        affine_key_function(4, 2, [0] * 4, [0, 0, -1, 0])
+    with pytest.raises(ValueError):
+        affine_key_function(4, 2, [0] * 4, [0] * 4, const=4)
+    with pytest.raises(ValueError):
         ClassicalKeyProtocol(xor_trunc_key_function(4, 2), s_bits=5)
 
 
-def test_batch_evaluations_match_scalar():
-    rng = np.random.default_rng(54)
-    kfs = [
-        xor_trunc_key_function(8, 3),
-        table_key_function(8, 2, rng),
-        affine_hash_key_function(8, 4, rng),
-    ]
-    cands = rng.integers(0, 256, size=50).astype(np.int64)
+def affine_by_definition(cols_a, cols_b, const, ra, rb):
+    """const xor the columns selected by the set bits of both inputs."""
+    out = const
+    for cols, x in ((cols_a, ra), (cols_b, rb)):
+        for j, c in enumerate(cols):
+            if (x >> j) & 1:
+                out ^= c
+    return out
+
+
+@st.composite
+def affine_cases(draw):
+    r = draw(st.integers(1, 12))
+    m = draw(st.integers(1, r))
+    col = st.integers(0, 2**m - 1)
+    coin = st.integers(0, 2**r - 1)
+    cols_a = draw(st.lists(col, min_size=r, max_size=r))
+    cols_b = draw(st.lists(col, min_size=r, max_size=r))
+    cands = draw(st.lists(coin, min_size=1, max_size=16))
+    return r, m, cols_a, cols_b, draw(col), draw(coin), draw(coin), cands
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_cases())
+def test_batch_evaluations_match_scalar(case):
+    r, m, cols_a, cols_b, const, ra, rb, cands = case
+    f = lambda x, y: affine_by_definition(cols_a, cols_b, const, x, y)
+    kfs = [affine_key_function(r, m, cols_a, cols_b, const)]
+    if r <= 6:  # the same map as a lookup table
+        table = np.array([[f(x, y) for y in range(2**r)] for x in range(2**r)], dtype=np.uint8)
+        kfs.append(nogo.KeyFunction("table", r, m, table=table))
+    arr = np.array(cands, dtype=np.int64)
     for kf in kfs:
-        rb = int(rng.integers(0, 256))
-        ra = int(rng.integers(0, 256))
-        left = kf.batch_left(cands, rb)
-        right = kf.batch_right(ra, cands)
-        for i, c in enumerate(cands):
-            assert left[i] == kf.value(int(c), rb)
-            assert right[i] == kf.value(ra, int(c))
+        assert kf.value(ra, rb) == f(ra, rb)
+        assert kf.batch_left(arr, rb).tolist() == [f(c, rb) for c in cands]
+        assert kf.batch_right(ra, arr).tolist() == [f(ra, c) for c in cands]
 
 
 def test_affine_hash_matches_field_arithmetic():

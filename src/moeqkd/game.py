@@ -24,17 +24,14 @@ from .quantum import (
     ATOL_NORM,
     agreement_projector,
     assert_density_operator,
-    bits_to_int,
     block_projectors,
-    embed_operator,
     epr_block_state,
     haar_state,
     int_to_bits,
-    measure_in_theta_basis,
-    n_qubits_of,
     partial_trace,
     random_povm,
-    theta_basis_state,
+    theta_amplitudes,
+    theta_unitary,
 )
 from .entropy import assert_povm
 
@@ -107,11 +104,8 @@ def intercept_resend_strategy(n: int) -> Strategy:
         return psi
 
     def povm(theta):
-        out = []
-        for k in range(dim):
-            u = theta_basis_state(k, theta)
-            out.append(np.outer(u, u.conj()))
-        return out
+        u = theta_unitary(theta)
+        return [np.outer(u[:, k], u[:, k].conj()) for k in range(dim)]
 
     return Strategy("intercept_resend", n, n, prep, povm)
 
@@ -125,7 +119,7 @@ def basis_reading_strategy(n: int) -> Strategy:
         theta = theta_of_public(p)
         if len(theta) != n:
             raise ValueError("basis length mismatch")
-        u = theta_basis_state(0, theta)
+        u = theta_unitary(theta)[:, 0]
         return np.kron(u, u)
 
     def povm(theta):
@@ -155,13 +149,6 @@ BUILTIN_STRATEGIES = {
 }
 
 
-def _key_amplitudes(psi: np.ndarray, n: int, c_dim: int, theta: tuple[int, ...]) -> np.ndarray:
-    """Row k holds the unnormalized C-vector <kk|_theta psi."""
-    t = psi.reshape(2**n, 2**n, c_dim)
-    basis = np.stack([theta_basis_state(k, theta) for k in range(2**n)])
-    return np.einsum("ki,kj,ijc->kc", basis.conj(), basis.conj(), t)
-
-
 def exact_pwin(scheme, strategy: Strategy, n: int) -> GameResult:
     """Win and agreement probabilities by exact expectation over (p, theta)."""
     if strategy.n != n:
@@ -176,7 +163,7 @@ def exact_pwin(scheme, strategy: Strategy, n: int) -> GameResult:
             raise ValueError("preparation not normalized")
         povm = strategy.charlie_povm(z.theta)
         assert_povm(povm, c_dim)
-        v = _key_amplitudes(psi, n, c_dim, z.theta)
+        v = np.einsum("kkc->kc", theta_amplitudes(psi, z.theta, c_dim))  # row k: <kk|_theta psi
         q = np.stack([np.asarray(e, dtype=np.complex128) for e in povm])
         pwin += weight * float(np.einsum("kc,kcd,kd->", v.conj(), q, v).real)
         agree += weight * float((np.abs(v) ** 2).sum())
@@ -193,16 +180,17 @@ def sampled_pwin(scheme, strategy: Strategy, n: int, trials: int, rng: np.random
     for _ in range(trials):
         z = sample_z(scheme, rng)
         psi = np.asarray(strategy.prep(z.p), dtype=np.complex128)
-        bits, post = measure_in_theta_basis(psi, list(range(2 * n)), z.theta + z.theta, rng)
-        ka, kb = bits[:n], bits[n:]
+        amp = theta_amplitudes(psi, z.theta, c_dim).reshape(4**n, c_dim)
+        probs = (np.abs(amp) ** 2).sum(axis=1)
+        x = int(rng.choice(4**n, p=probs / probs.sum()))
+        ka, kb = divmod(x, 2**n)
         povm = strategy.charlie_povm(z.theta)
-        v = post.reshape(4**n, c_dim)
-        probs = np.einsum("ac,kcd,ad->k", v.conj(), np.stack(povm), v).real
+        probs = np.einsum("c,kcd,d->k", amp[x].conj(), np.stack(povm), amp[x]).real
         probs = np.clip(probs, 0.0, None)
         kc = int(rng.choice(2**n, p=probs / probs.sum()))
         if ka == kb:
             agrees += 1
-            if bits_to_int(ka) == kc:
+            if ka == kc:
                 wins += 1
     pwin = wins / trials
     stderr = float(np.sqrt(max(pwin * (1 - pwin), 1e-12) / trials))
@@ -257,9 +245,8 @@ def verify_fixed_theta_bound(
     m0, _ = block_projectors(n, s)
     rho4 = rho_abe.reshape(4**n, e_dim, 4**n, e_dim)
     rho_m = np.einsum("xy,yazb->xazb", m0, rho4)
-    w = np.stack(
-        [np.kron(theta_basis_state(x, theta), theta_basis_state(x, theta)) for x in range(2**n)]
-    )
+    u = theta_unitary(theta)
+    w = np.einsum("ix,jx->xij", u, u, order="C").reshape(2**n, 4**n)  # row x: |xx>_theta
     q = np.stack([np.asarray(e, dtype=np.complex128) for e in povm_on_e])
     value = float(np.einsum("xi,xj,xkl,jlik->", w, w.conj(), q, rho_m).real)
     bound = float(np.sqrt((n / s) / 2**s))
@@ -301,9 +288,8 @@ def decomposition_terms(
 
     m0, m1 = block_projectors(n, s)
     rho4 = rho.reshape(4**n, c_dim, 4**n, c_dim)
-    w = np.stack(
-        [np.kron(theta_basis_state(x, theta), theta_basis_state(x, theta)) for x in range(2**n)]
-    )
+    u = theta_unitary(theta)
+    w = np.einsum("ix,jx->xij", u, u, order="C").reshape(2**n, 4**n)  # row x: |xx>_theta
 
     rho_m0 = np.einsum("xy,yazb->xazb", m0, rho4)
     rho_m1 = np.einsum("xy,yazb->xazb", m1, rho4)
@@ -368,9 +354,9 @@ def distinguisher_advantage(
         post = post / norm
         for world, candidate in enumerate((theta_star, z.theta)):
             if outcome == 1:
-                bits, _ = measure_in_theta_basis(
-                    post, list(range(2 * n)), candidate + candidate, rng
-                )
-                if bits[:n] == bits[n:]:
+                amp = theta_amplitudes(post, candidate, c_dim).reshape(4**n, c_dim)
+                probs = (np.abs(amp) ** 2).sum(axis=1)
+                ka, kb = divmod(int(rng.choice(4**n, p=probs / probs.sum())), 2**n)
+                if ka == kb:
                     hits[world] += 1
     return abs(hits[1] - hits[0]) / trials

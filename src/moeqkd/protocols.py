@@ -23,7 +23,7 @@ sampling cross-check against the real keyed digests lives in the tests.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from math import log2
 from typing import Callable
@@ -44,10 +44,10 @@ from .nike import (
 from .quantum import (
     bits_to_int,
     epr_block_state,
-    int_to_bits,
     measure_in_theta_basis,
     partial_trace,
-    theta_basis_state,
+    theta_amplitudes,
+    theta_unitary,
     trace_norm_hermitian,
 )
 
@@ -292,18 +292,12 @@ class WeakSecReport:
     ensemble: CqEnsemble | None = None
 
 
-def _theta_rows(theta: tuple[int, ...]) -> np.ndarray:
-    n = len(theta)
-    return np.stack([theta_basis_state(k, theta) for k in range(2**n)])
-
-
 def _conditional_blocks(state: np.ndarray, n: int, e_dim: int, theta: tuple[int, ...]) -> np.ndarray:
     """sigma[a, b] = <ab|_theta state |ab>_theta as operators on E."""
-    u = _theta_rows(theta)
     if state.ndim == 1:
-        t = state.reshape(2**n, 2**n, e_dim)
-        amp = np.einsum("ai,bj,ijc->abc", u.conj(), u.conj(), t)
+        amp = theta_amplitudes(state, theta, e_dim)
         return np.einsum("abc,abd->abcd", amp, amp.conj())
+    u = theta_unitary(theta)  # symmetric: row a is |a>_theta
     r = state.reshape(2**n, 2**n, e_dim, 2**n, 2**n, e_dim)
     return np.einsum("ai,bj,ijckld,ak,bl->abcd", u.conj(), u.conj(), r, u, u)
 
@@ -353,7 +347,8 @@ def weak_security_report(
     bracket = pguess(ens)
 
     guess_rate = None
-    if adversary is not None and adversary.decoder is not None:
+    # the decoder recovers theta from the public tuple; IdealNike hides it
+    if adversary is not None and adversary.decoder and not isinstance(scheme, IdealNike):
         hits = 0
         done = 0
         for _ in range(trials):
@@ -363,10 +358,7 @@ def weak_security_report(
             key = tx.k_a
             if tx.k_a != tx.k_b:
                 key = tuple(int(b) for b in rng.integers(0, 2, size=n))
-            try:
-                guess_a, _ = adversary.decoder(tx, rng)
-            except ValueError:
-                break
+            guess_a, _ = adversary.decoder(tx, rng)
             hits += int(guess_a == key)
             done += 1
         if done:
@@ -435,9 +427,10 @@ def _swap_distance(n: int, m: int) -> tuple[float, float]:
     # Eve's quantum side: |ka0>_theta (x) |kb0>_theta, dim 4
     omega = {}
     for theta in (0, 1):
+        u = theta_unitary((theta,))
         for ka0 in (0, 1):
             for kb0 in (0, 1):
-                v = np.kron(theta_basis_state(ka0, (theta,)), theta_basis_state(kb0, (theta,)))
+                v = np.kron(u[:, ka0], u[:, kb0])
                 omega[theta, ka0, kb0] = np.outer(v, v.conj())
 
     def f_eval(f: int, x: int) -> int:

@@ -9,6 +9,8 @@ Conventions used across the package:
   leading qubits, then B, then any adversary register.
 * A basis choice ("theta") is a tuple of bits, one per qubit; bit 1 means the
   Hadamard-rotated basis on that qubit, bit 0 the computational basis.
+  ``theta_unitary`` (H^theta; column x is |x>_theta) is the one theta-basis
+  kernel: basis vectors, projectors and ``theta_amplitudes`` read from it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ MAX_DENSITY_QUBITS = 13
 MAX_PURE_QUBITS = 20
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
+_IDENTITY = np.eye(2, dtype=np.complex128)
 
 _BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -215,22 +218,35 @@ def operator_union_bound_witness(projectors: Sequence[np.ndarray]) -> float:
     return float(np.linalg.eigvalsh(rhs - lhs).min())
 
 
+def theta_unitary(theta: Sequence[int]) -> np.ndarray:
+    """H^theta as a 2^n x 2^n matrix: column x is |x>_theta. It is real and
+    symmetric, so row x is |x>_theta as well."""
+    if len(theta) > MAX_DENSITY_QUBITS:
+        raise ValueError("theta unitary too large")
+    u = np.ones((1, 1), dtype=np.complex128)
+    for tb in theta:
+        if tb not in (0, 1):
+            raise ValueError(f"not a bit: {tb!r}")
+        u = np.kron(u, HADAMARD if tb else _IDENTITY)
+    return u
+
+
 def theta_basis_state(x: int | Sequence[int], theta: Sequence[int]) -> np.ndarray:
-    """The basis vector |x>_theta, i.e. H^theta applied to |x>."""
+    """The basis vector |x>_theta: column x of theta_unitary(theta)."""
     n = len(theta)
     bits = int_to_bits(x, n) if isinstance(x, (int, np.integer)) else tuple(x)
     if len(bits) != n:
         raise ValueError("x and theta length mismatch")
-    v = np.ones(1, dtype=np.complex128)
-    for xb, tb in zip(bits, theta):
-        q = np.zeros(2, dtype=np.complex128)
-        q[xb] = 1.0
-        if tb == 1:
-            q = HADAMARD @ q
-        elif tb != 0:
-            raise ValueError(f"not a bit: {tb!r}")
-        v = np.kron(v, q)
-    return v
+    return theta_unitary(theta)[:, bits_to_int(bits)]
+
+
+def theta_amplitudes(psi: np.ndarray, theta: Sequence[int], e_dim: int) -> np.ndarray:
+    """amp[a, b] = <ab|_theta psi on the trailing e_dim register, for psi on
+    two n-qubit registers read in the theta basis; ||amp[a, b]||^2 = Pr(a, b)."""
+    d = 1 << len(theta)
+    u = theta_unitary(theta)
+    t = np.asarray(psi, dtype=np.complex128).reshape(d, d, e_dim)
+    return np.einsum("ai,bj,ijc->abc", u.conj(), u.conj(), t)
 
 
 def bell_state(kind: str) -> np.ndarray:
@@ -292,9 +308,7 @@ def agreement_projector(theta: Sequence[int]) -> np.ndarray:
     p = np.zeros((d * d, d * d), dtype=np.complex128)
     idx = np.arange(d) * d + np.arange(d)
     p[idx, idx] = 1.0
-    u = np.ones((1, 1), dtype=np.complex128)
-    for tb in theta:
-        u = np.kron(u, HADAMARD if tb else np.eye(2, dtype=np.complex128))
+    u = theta_unitary(theta)
     w = np.kron(u, u)
     return w @ p @ w.conj().T
 

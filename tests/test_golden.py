@@ -33,6 +33,22 @@ CSV_GRID = {
     "nogo_xor_trunc_r16_m4.csv": dict(experiment="nogo", kind="xor_trunc", r=16, m=4, trials=20),
     "nogo_table_r8_m2.csv": dict(experiment="nogo", kind="table", r=8, m=2, trials=20),
     "entropy.csv": dict(experiment="entropy"),
+    "moe_intercept_n4_t200.csv": dict(experiment="moe", strategy="intercept", n=4, trials=200),
+    "moe_honest_n2.csv": dict(experiment="moe", strategy="honest", n=2),
+    "moe_random_n3.csv": dict(experiment="moe", strategy="random", n=3),
+    "moe_basis_reading_broken_n3.csv": dict(experiment="moe", strategy="basis_reading",
+                                            scheme="broken", n=3),
+    "moe_exact_intercept_n3.csv": dict(experiment="moe", strategy="intercept", n=3, exact=True),
+    "moe_exact_random_n2.csv": dict(experiment="moe", strategy="random", n=2, exact=True),
+    "lemmas_t100.csv": dict(experiment="lemmas", trials=100),
+    "niqkd_swap_epr_broken_n2.csv": dict(experiment="niqkd", adversary="swap_epr",
+                                         scheme="broken", n=2, trials=100),
+    "niqkd_swap_epr_ideal_n2.csv": dict(experiment="niqkd", adversary="swap_epr",
+                                        scheme="ideal", n=2, trials=100),
+    "niqkd_measure_resend_n2.csv": dict(experiment="niqkd", adversary="measure_resend",
+                                        n=2, trials=100),
+    "two_round_swap_epr_sub0_n1.csv": dict(experiment="two-round", adversary="swap_epr_sub0",
+                                           n=1, m=1, trials=100),
 }
 
 

@@ -9,6 +9,7 @@ from moeqkd.entropy import CqEnsemble, pguess
 from moeqkd.hashing import CrHash, CrHashFamily, uh_eval
 from moeqkd.nike import BrokenNike, IdealNike, ToyDhNike
 from moeqkd.protocols import (
+    AdversaryChannel,
     Transcript,
     _passive_distance,
     _swap_distance,
@@ -207,6 +208,26 @@ def test_weak_ensemble_disagreement_part_is_key_independent():
     ]
     for k in range(1, 4):
         assert np.max(np.abs(rest[k] - rest[0])) <= 1e-10
+
+
+def test_weak_report_decoder_errors_propagate():
+    # a failing decoder must stop the report, not shorten its guess rate
+    swap = swap_epr_attack(1)
+    calls = []
+
+    def flaky(tx, rng):
+        calls.append(tx)
+        if len(calls) == 3:
+            raise ValueError("decoder failed")
+        return swap.decoder(tx, rng)
+
+    adv = AdversaryChannel("flaky_swap", swap.e_qubits, swap.act, flaky)
+    with pytest.raises(ValueError, match="decoder failed"):
+        weak_security_report(BrokenNike(1), 1, adv, np.random.default_rng(24), trials=10)
+    # the opaque-handle scheme skips the decoder phase outright
+    calls.clear()
+    rep = weak_security_report(IdealNike(1), 1, adv, np.random.default_rng(24), trials=10)
+    assert rep.eve_guess_rate is None and not calls
 
 
 def test_weak_report_rejects_oversized_adversary():

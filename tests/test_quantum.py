@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moeqkd import quantum as q
 
@@ -41,6 +43,52 @@ def test_theta_basis_is_orthonormal():
             vecs = [q.theta_basis_state(x, theta) for x in range(1 << n)]
             gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
             assert np.allclose(gram, np.eye(1 << n), atol=q.ATOL_STRUCT)
+
+
+def theta_reference(x: int, theta) -> np.ndarray:
+    """|x>_theta built qubit by qubit: |x_i>, Hadamard-rotated where theta_i = 1."""
+    v = np.ones(1)
+    for xb, tb in zip(q.int_to_bits(x, len(theta)), theta):
+        qubit = np.eye(2)[xb]
+        v = np.kron(v, np.array([[1, 1], [1, -1]]) @ qubit * RT2 if tb else qubit)
+    return v
+
+
+thetas = st.lists(st.integers(0, 1), min_size=1, max_size=5).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(thetas)
+def test_theta_unitary_matches_single_qubit_reference(theta):
+    n = len(theta)
+    u = q.theta_unitary(theta)
+    assert np.allclose(u.conj().T @ u, np.eye(1 << n), atol=q.ATOL_STRUCT)
+    assert np.allclose(u @ u, np.eye(1 << n), atol=q.ATOL_STRUCT)
+    for x in range(1 << n):
+        assert np.allclose(u[:, x], theta_reference(x, theta), atol=q.ATOL_STRUCT)
+        assert np.array_equal(q.theta_basis_state(x, theta), u[:, x])
+        assert np.array_equal(q.theta_basis_state(q.int_to_bits(x, n), theta), u[:, x])
+
+
+@settings(max_examples=40, deadline=None)
+@given(thetas, st.sampled_from([1, 2, 4]), st.integers(0, 2**32 - 1))
+def test_theta_amplitudes_match_per_row_reference(theta, e_dim, seed):
+    d = 1 << len(theta)
+    psi = q.haar_state(d * d * e_dim, np.random.default_rng(seed))
+    amp = q.theta_amplitudes(psi, theta, e_dim)
+    rows = np.stack([theta_reference(k, theta) for k in range(d)])
+    # row a*d + b of kron(rows, rows) is |ab>_theta
+    expect = (np.kron(rows, rows).conj() @ psi.reshape(d * d, e_dim)).reshape(d, d, e_dim)
+    assert np.allclose(amp, expect, atol=q.ATOL_STRUCT)
+
+
+def test_theta_kernel_rejects_bad_input():
+    with pytest.raises(ValueError):
+        q.theta_unitary((0, 2))
+    with pytest.raises(ValueError):
+        q.theta_basis_state(4, (1, 0))
+    with pytest.raises(ValueError):
+        q.theta_basis_state((0, 1, 1), (1, 0))
 
 
 def test_bell_states_oracle():

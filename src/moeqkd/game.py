@@ -149,22 +149,36 @@ BUILTIN_STRATEGIES = {
 }
 
 
+def _checked_prep(strategy: Strategy, p: tuple) -> np.ndarray:
+    psi = np.asarray(strategy.prep(p), dtype=np.complex128)
+    if abs(np.linalg.norm(psi) - 1.0) > ATOL_NORM:
+        raise ValueError("preparation not normalized")
+    return psi
+
+
+def _povm_stack(strategy: Strategy, theta: tuple[int, ...], c_dim: int) -> np.ndarray:
+    """C's POVM for theta, checked, as one (2^n, c_dim, c_dim) array."""
+    povm = strategy.charlie_povm(theta)
+    assert_povm(povm, c_dim)
+    return np.stack([np.asarray(e, dtype=np.complex128) for e in povm])
+
+
 def exact_pwin(scheme, strategy: Strategy, n: int) -> GameResult:
     """Win and agreement probabilities by exact expectation over (p, theta)."""
     if strategy.n != n:
         raise ValueError("strategy length mismatch")
     entries = enumerate_z(scheme, np.random.default_rng(0))
+    d = 2**n
     c_dim = 2**strategy.c_qubits
     pwin = 0.0
     agree = 0.0
     for z, weight in entries:
-        psi = np.asarray(strategy.prep(z.p), dtype=np.complex128)
-        if abs(np.linalg.norm(psi) - 1.0) > ATOL_NORM:
-            raise ValueError("preparation not normalized")
-        povm = strategy.charlie_povm(z.theta)
-        assert_povm(povm, c_dim)
-        v = np.einsum("kkc->kc", theta_amplitudes(psi, z.theta, c_dim))  # row k: <kk|_theta psi
-        q = np.stack([np.asarray(e, dtype=np.complex128) for e in povm])
+        psi = _checked_prep(strategy, z.p)
+        q = _povm_stack(strategy, z.theta, c_dim)
+        uc = theta_unitary(z.theta).conj()
+        # row k: <kk|_theta psi. Only the agreement diagonal of the joint
+        # contraction, summed in the same order, so it keeps that rounding.
+        v = np.einsum("ki,kj,ijc->kc", uc, uc, psi.reshape(d, d, c_dim))
         pwin += weight * float(np.einsum("kc,kcd,kd->", v.conj(), q, v).real)
         agree += weight * float((np.abs(v) ** 2).sum())
     return GameResult(pwin=pwin, agree_rate=agree)
@@ -175,18 +189,20 @@ def sampled_pwin(scheme, strategy: Strategy, n: int, trials: int, rng: np.random
     if strategy.n != n:
         raise ValueError("strategy length mismatch")
     c_dim = 2**strategy.c_qubits
+    stacks: dict[tuple[int, ...], np.ndarray] = {}
     wins = 0
     agrees = 0
     for _ in range(trials):
         z = sample_z(scheme, rng)
-        psi = np.asarray(strategy.prep(z.p), dtype=np.complex128)
+        psi = _checked_prep(strategy, z.p)
         amp = theta_amplitudes(psi, z.theta, c_dim).reshape(4**n, c_dim)
         probs = (np.abs(amp) ** 2).sum(axis=1)
         x = int(rng.choice(4**n, p=probs / probs.sum()))
         ka, kb = divmod(x, 2**n)
-        povm = strategy.charlie_povm(z.theta)
-        probs = np.einsum("c,kcd,d->k", amp[x].conj(), np.stack(povm), amp[x]).real
-        probs = np.clip(probs, 0.0, None)
+        if z.theta not in stacks:
+            stacks[z.theta] = _povm_stack(strategy, z.theta, c_dim)
+        probs = np.einsum("c,kcd,d->k", amp[x].conj(), stacks[z.theta], amp[x]).real
+        probs = np.clip(probs, 0.0, None)  # rounding only: the stack passed assert_povm
         kc = int(rng.choice(2**n, p=probs / probs.sum()))
         if ka == kb:
             agrees += 1

@@ -48,7 +48,7 @@ class ZSample:
 
 
 def _hex_token(rng: np.random.Generator, nbytes: int = 16) -> str:
-    return bytes(int(b) for b in rng.integers(0, 256, size=nbytes)).hex()
+    return rng.integers(0, 256, size=nbytes).astype(np.uint8).tobytes().hex()
 
 
 class IdealNike:
@@ -71,7 +71,7 @@ class IdealNike:
 
     def setup(self, rng: np.random.Generator) -> tuple:
         handle = _hex_token(rng)
-        self._masters[handle] = bytes(int(b) for b in rng.integers(0, 256, size=32))
+        self._masters[handle] = rng.integers(0, 256, size=32).astype(np.uint8).tobytes()
         return ("ideal", self.n, handle)
 
     def gen(self, pp: tuple, identity: str, rng: np.random.Generator) -> tuple[tuple, str]:

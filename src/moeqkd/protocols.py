@@ -46,7 +46,6 @@ from .quantum import (
     epr_block_state,
     measure_in_theta_basis,
     partial_trace,
-    theta_amplitudes,
     theta_unitary,
     trace_norm_hermitian,
 )
@@ -294,10 +293,11 @@ class WeakSecReport:
 
 def _conditional_blocks(state: np.ndarray, n: int, e_dim: int, theta: tuple[int, ...]) -> np.ndarray:
     """sigma[a, b] = <ab|_theta state |ab>_theta as operators on E."""
-    if state.ndim == 1:
-        amp = theta_amplitudes(state, theta, e_dim)
-        return np.einsum("abc,abd->abcd", amp, amp.conj())
     u = theta_unitary(theta)  # symmetric: row a is |a>_theta
+    if state.ndim == 1:
+        t = state.reshape(2**n, 2**n, e_dim)
+        amp = np.einsum("ai,bj,ijc->abc", u.conj(), u.conj(), t)
+        return np.einsum("abc,abd->abcd", amp, amp.conj())
     r = state.reshape(2**n, 2**n, e_dim, 2**n, 2**n, e_dim)
     return np.einsum("ai,bj,ijckld,ak,bl->abcd", u.conj(), u.conj(), r, u, u)
 

@@ -11,6 +11,9 @@ Conventions used across the package:
   Hadamard-rotated basis on that qubit, bit 0 the computational basis.
   ``theta_unitary`` (H^theta; column x is |x>_theta) is the one theta-basis
   kernel: basis vectors, projectors and ``theta_amplitudes`` read from it.
+  ``theta_amplitudes`` contracts one register at a time by matrix products
+  for the Monte-Carlo callers; the exact callers contract both registers in
+  one einsum of their own, whose rounding their pinned outputs depend on.
 """
 
 from __future__ import annotations
@@ -242,11 +245,19 @@ def theta_basis_state(x: int | Sequence[int], theta: Sequence[int]) -> np.ndarra
 
 def theta_amplitudes(psi: np.ndarray, theta: Sequence[int], e_dim: int) -> np.ndarray:
     """amp[a, b] = <ab|_theta psi on the trailing e_dim register, for psi on
-    two n-qubit registers read in the theta basis; ||amp[a, b]||^2 = Pr(a, b)."""
+    two n-qubit registers read in the theta basis; ||amp[a, b]||^2 = Pr(a, b).
+
+    Contracts one register at a time with two matrix products, 2 d^3 e_dim
+    multiply-adds for d = 2^n. This order rounds differently from the joint
+    contraction einsum("ai,bj,ijc->abc"), whose rounding the pinned exact
+    values depend on. So only the sampled game and the distinguisher read
+    amplitudes from here; ``exact_pwin`` takes the agreement diagonal of the
+    joint einsum and the weak-security blocks take the joint einsum inline.
+    """
     d = 1 << len(theta)
-    u = theta_unitary(theta)
-    t = np.asarray(psi, dtype=np.complex128).reshape(d, d, e_dim)
-    return np.einsum("ai,bj,ijc->abc", u.conj(), u.conj(), t)
+    uc = theta_unitary(theta).conj()
+    t = np.asarray(psi, dtype=np.complex128).reshape(d, d * e_dim)
+    return uc @ (uc @ t).reshape(d, d, e_dim)
 
 
 def bell_state(kind: str) -> np.ndarray:

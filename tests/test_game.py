@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moeqkd.game import (
     GameResult,
@@ -18,10 +22,12 @@ from moeqkd.game import (
 from moeqkd.nike import BrokenNike, IdealNike, ToyDhNike
 from moeqkd.quantum import (
     epr_block_state,
+    haar_state,
     int_to_bits,
     random_density_operator,
     random_povm,
     theta_basis_state,
+    theta_unitary,
 )
 
 
@@ -83,6 +89,48 @@ def test_win_is_subevent_of_agreement_for_random_strategies():
         assert res.pwin <= res.agree_rate + 1e-12
         samp = sampled_pwin(IdealNike(2), strat, 2, 300, rng)
         assert samp.pwin <= samp.agree_rate
+
+
+def test_sampled_rejects_non_psd_povm():
+    # sums to the identity, but the first element has eigenvalue -0.5
+    bad = [np.diag([1.5, 0.0]).astype(np.complex128), np.diag([-0.5, 1.0]).astype(np.complex128)]
+    psi = np.kron(epr_block_state(1), [1.0, 0.0])
+    strat = Strategy("non_psd", 1, 1, lambda p: psi, lambda theta: bad)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        sampled_pwin(IdealNike(1), strat, 1, 20, np.random.default_rng(0))
+
+
+def test_sampled_rejects_unnormalized_prep():
+    strat = replace(honest_strategy(1), prep=lambda p: 2 * epr_block_state(1))
+    with pytest.raises(ValueError, match="not normalized"):
+        sampled_pwin(IdealNike(1), strat, 1, 20, np.random.default_rng(0))
+
+
+def test_sampled_builds_each_povm_once_per_theta():
+    calls = []
+    base = intercept_resend_strategy(2)
+
+    def counting_povm(theta):
+        calls.append(theta)
+        return base.charlie_povm(theta)
+
+    sampled_pwin(IdealNike(2), replace(base, charlie_povm=counting_povm), 2, 200,
+                 np.random.default_rng(6))
+    assert len(calls) == len(set(calls)) <= 2**2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.sampled_from([1, 2, 4, 8, 16]), st.integers(0, 2**32 - 1))
+def test_agreement_diagonal_matches_joint_contraction_bitwise(n, c_dim, seed):
+    # exact_pwin contracts only the diagonal; its values stay those of the joint einsum
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    theta = tuple(int(b) for b in rng.integers(0, 2, size=n))
+    uc = theta_unitary(theta).conj()
+    t = haar_state(d * d * c_dim, rng).reshape(d, d, c_dim)
+    joint = np.einsum("ai,bj,ijc->abc", uc, uc, t)
+    diag = np.einsum("ki,kj,ijc->kc", uc, uc, t)
+    assert np.array_equal(diag, np.einsum("kkc->kc", joint))
 
 
 def test_game_result_rejects_win_above_agreement():

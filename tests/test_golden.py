@@ -40,11 +40,16 @@ CSV_GRID = {
                                             scheme="broken", n=3),
     "moe_exact_intercept_n3.csv": dict(experiment="moe", strategy="intercept", n=3, exact=True),
     "moe_exact_random_n2.csv": dict(experiment="moe", strategy="random", n=2, exact=True),
+    "moe_exact_honest_n4.csv": dict(experiment="moe", strategy="honest", n=4, exact=True),
     "lemmas_t100.csv": dict(experiment="lemmas", trials=100),
     "niqkd_swap_epr_broken_n2.csv": dict(experiment="niqkd", adversary="swap_epr",
                                          scheme="broken", n=2, trials=100),
     "niqkd_swap_epr_ideal_n2.csv": dict(experiment="niqkd", adversary="swap_epr",
                                         scheme="ideal", n=2, trials=100),
+    "niqkd_swap_epr_ideal_n1.csv": dict(experiment="niqkd", adversary="swap_epr",
+                                        scheme="ideal", n=1, trials=100),
+    "niqkd_swap_epr_broken_n1.csv": dict(experiment="niqkd", adversary="swap_epr",
+                                         scheme="broken", n=1, trials=100),
     "niqkd_measure_resend_n2.csv": dict(experiment="niqkd", adversary="measure_resend",
                                         n=2, trials=100),
     "two_round_swap_epr_sub0_n1.csv": dict(experiment="two-round", adversary="swap_epr_sub0",

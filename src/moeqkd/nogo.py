@@ -10,11 +10,17 @@ coins (nondestructive, since every outcome is deterministic); the offline
 phase intersects the observations into candidate sets and guesses. The
 guaranteed floor on the guess rate is ``1/3 - 2*(8/9)**r``; the concrete
 families implemented here are all crackable outright.
+
+Coins are drawn and probed as 32-bit words, one draw call and one
+``np.bitwise_count`` pass per probe block. For affine keys every probe of a
+register implies the same equation M·c = y, so the offline phase is closed
+form over the echelon forms each ``KeyFunction`` derives once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,14 +37,24 @@ def nogo_bound(r: int) -> float:
     return max(0.0, 1.0 / 3.0 - 2.0 * (8.0 / 9.0) ** r)
 
 
-def _rand_bits(rng: np.random.Generator, bits: int) -> int:
-    if bits <= 0:
-        return 0
-    out = 0
-    for lo in range(0, bits, 32):
-        width = min(32, bits - lo)
-        out |= int(rng.integers(0, 1 << width)) << lo
+def _draw_words(rng: np.random.Generator, bits: int, count: int) -> np.ndarray:
+    """``count`` coins as rows of uint32 words, low word first, in one draw
+    call; it yields the values of per-word scalar draws in row order."""
+    bounds = [1 << min(32, bits - lo) for lo in range(0, bits, 32)]
+    return rng.integers(0, bounds, size=(count, len(bounds))).astype(np.uint32)
+
+
+def _join_words(words: np.ndarray) -> list[int]:
+    """Python ints from rows of little-endian words of any unsigned dtype."""
+    cols = words.T.tolist()
+    out = cols.pop()
+    for col in reversed(cols):
+        out = [hi << 8 * words.itemsize | lo for hi, lo in zip(out, col)]
     return out
+
+
+def _rand_bits(rng: np.random.Generator, bits: int) -> int:
+    return _join_words(_draw_words(rng, bits, 1))[0]
 
 
 def _parities(rows: tuple[int, ...], x: int) -> int:
@@ -56,6 +72,67 @@ def _batch_parities(rows: tuple[int, ...], xs: np.ndarray) -> np.ndarray:
     for o, row in enumerate(rows):
         out |= (np.bitwise_count(xs & np.uint64(row)) & 1).astype(np.int64) << o
     return out
+
+
+def _word_parities(row_words: np.ndarray, words: np.ndarray) -> list[int]:
+    """``_parities`` of each row of coin words, in one pass."""
+    folded = words[:, None, 0] & row_words[:, 0]
+    for w in range(1, words.shape[1]):
+        folded ^= words[:, None, w] & row_words[:, w]
+    return _join_words(np.packbits(np.bitwise_count(folded) & 1, axis=1, bitorder="little"))
+
+
+def _reduce_rows(rows, lowest: bool = False) -> dict[int, tuple[int, int]]:
+    """Gauss-Jordan elimination over GF(2) on each row's top (or lowest) bit.
+
+    Returns {pivot: (row, combo)}: no row holds another's pivot, and combo
+    masks the input rows that row is the xor of.
+    """
+    reduced: dict[int, tuple[int, int]] = {}
+    for o, row in enumerate(rows):
+        combo = 1 << o
+        for p, (prow, pcombo) in reduced.items():
+            if row >> p & 1:
+                row, combo = row ^ prow, combo ^ pcombo
+        if row:
+            pivot = (row & -row if lowest else row).bit_length() - 1
+            for p, (prow, pcombo) in reduced.items():
+                if prow >> pivot & 1:
+                    reduced[p] = (prow ^ row, pcombo ^ combo)
+            reduced[pivot] = (row, combo)
+    return reduced
+
+
+def _solve(reduced: dict[int, tuple[int, int]], y: int, x_free: int = 0) -> int:
+    """The solution of M·x = y, if any, equal to ``x_free`` off the pivots."""
+    x = x_free
+    for p, (row, combo) in reduced.items():
+        x |= ((combo & y).bit_count() + (row & x_free).bit_count() & 1) << p
+    return x
+
+
+class RowEchelon(NamedTuple):
+    """One side's row masks M, as uint32 words and in reduced echelon form.
+
+    ``top`` pivots on top bits: drawing its ``free`` columns and solving
+    gives a uniform solution. ``low`` pivots on lowest bits: a column that is
+    no row combination's lowest bit can always be 0, so solving with no free
+    bits set gives the smallest solution, the xor of the unit vectors at the
+    pivots whose combo has odd parity with y.
+    """
+
+    rows: tuple[int, ...]
+    words: np.ndarray
+    top: dict[int, tuple[int, int]]
+    low: dict[int, tuple[int, int]]
+    free: tuple[int, ...]
+
+    @classmethod
+    def of(cls, rows: tuple[int, ...], r: int) -> RowEchelon:
+        words = [[row >> lo & 0xFFFFFFFF for lo in range(0, r, 32)] for row in rows]
+        top = _reduce_rows(rows)
+        return cls(rows, np.array(words, dtype=np.uint32), top, _reduce_rows(rows, lowest=True),
+                   tuple(j for j in range(r) if j not in top))
 
 
 def _columns_to_rows(r: int, m: int, cols) -> tuple[int, ...]:
@@ -77,7 +154,8 @@ class KeyFunction:
     rows are the transpose of those per-input-bit columns, and output bit o
     is parity(rows_a[o] & ra) xor parity(rows_b[o] & rb) xor bit o of
     ``const``. The same rows are the left-hand sides of the attack's linear
-    system. The table kind stores the full lookup array instead.
+    system, and ``echelon_a``/``echelon_b`` are derived from them. The table
+    kind stores the full lookup array instead.
     """
 
     kind: str
@@ -89,6 +167,8 @@ class KeyFunction:
     table: np.ndarray | None = None
     a_seed: int | None = None
     b_seed: int | None = None
+    echelon_a: RowEchelon | None = field(default=None, init=False, repr=False)
+    echelon_b: RowEchelon | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.m <= self.r:
@@ -101,6 +181,8 @@ class KeyFunction:
                     raise ValueError("row masks must fit in r bits")
             if not 0 <= self.const < 1 << self.m:
                 raise ValueError("const must fit in m bits")
+            object.__setattr__(self, "echelon_a", RowEchelon.of(self.rows_a, self.r))
+            object.__setattr__(self, "echelon_b", RowEchelon.of(self.rows_b, self.r))
         elif self.table.shape != (2**self.r, 2**self.r):
             raise ValueError("table shape must be 2^r by 2^r")
 
@@ -189,6 +271,8 @@ class ClassicalKeyProtocol:
     def __post_init__(self):
         if not 0 <= self.s_bits <= self.r:
             raise ValueError("prefix length out of range")
+        if self.probes < 1:
+            raise ValueError("the attack needs at least one probe per side")
 
     @property
     def r(self) -> int:
@@ -219,6 +303,18 @@ class ClassicalKeyProtocol:
             outcome = self.key_function.value(local_rand, payload.hidden)
         return outcome, payload
 
+    def measure_probes(self, payload: QuantumPayload,
+                       words: np.ndarray) -> tuple[list[int], QuantumPayload]:
+        """``measure_payload`` for each row of counterpart coin words, in one pass."""
+        kf, hidden = self.key_function, payload.hidden
+        if kf.table is not None:
+            coins = _join_words(words)
+            outcomes = kf.table[hidden, coins] if payload.party == "A" else kf.table[coins, hidden]
+            return outcomes.tolist(), payload
+        own, other = (kf.rows_a, kf.echelon_b) if payload.party == "A" else (kf.rows_b, kf.echelon_a)
+        base = kf.const ^ _parities(own, hidden)
+        return [base ^ p for p in _word_parities(other.words, words)], payload
+
 
 def run_toy_protocol(proto: ClassicalKeyProtocol, rng: np.random.Generator):
     """Honest execution: returns (R_A, R_B, S_A, S_B, key)."""
@@ -235,14 +331,17 @@ def run_toy_protocol(proto: ClassicalKeyProtocol, rng: np.random.Generator):
 
 @dataclass
 class AttackState:
-    """Everything the interception phase logs, plus the offline results."""
+    """Everything the interception phase logs, plus the offline results.
+
+    Probe coins are kept as drawn, one row of uint32 words per probe.
+    """
 
     s_a: int
     s_b: int
     alphas: tuple[int, ...]
     betas: tuple[int, ...]
-    sampled_rb: tuple[int, ...]
-    sampled_ra: tuple[int, ...]
+    rb_words: np.ndarray
+    ra_words: np.ndarray
     gamma_a: object = None  # ndarray of members, or membership predicate
     gamma_b: object = None
     r_star_a: int | None = None
@@ -251,6 +350,9 @@ class AttackState:
     method: str = ""
     failed: bool = False
 
+    sampled_rb = property(lambda self: tuple(_join_words(self.rb_words)))
+    sampled_ra = property(lambda self: tuple(_join_words(self.ra_words)))
+
 
 def eve_online(proto: ClassicalKeyProtocol, s_a: int, s_b: int,
                payload_a: QuantumPayload, payload_b: QuantumPayload,
@@ -258,19 +360,14 @@ def eve_online(proto: ClassicalKeyProtocol, s_a: int, s_b: int,
     """Probe both transit registers with freshly sampled counterpart coins.
 
     Every probe outcome is deterministic given the sealed coins, so the
-    registers pass through untouched and are handed back for delivery.
+    registers pass through untouched and are handed back for delivery. All
+    coins come from one draw, in per-probe order: a right coin, then a left.
     """
-    alphas, betas, rbs, ras = [], [], [], []
-    for _ in range(proto.probes):
-        rb_t = proto.sample_randomness(rng)
-        out, payload_a = proto.measure_payload(payload_a, rb_t)
-        alphas.append(out)
-        rbs.append(rb_t)
-        ra_t = proto.sample_randomness(rng)
-        out, payload_b = proto.measure_payload(payload_b, ra_t)
-        betas.append(out)
-        ras.append(ra_t)
-    state = AttackState(s_a, s_b, tuple(alphas), tuple(betas), tuple(rbs), tuple(ras))
+    words = _draw_words(rng, proto.r, 2 * proto.probes)
+    rb_words, ra_words = words[0::2], words[1::2]
+    alphas, payload_a = proto.measure_probes(payload_a, rb_words)
+    betas, payload_b = proto.measure_probes(payload_b, ra_words)
+    state = AttackState(s_a, s_b, tuple(alphas), tuple(betas), rb_words, ra_words)
     return state, payload_a, payload_b
 
 
@@ -281,69 +378,14 @@ def gamma_membership(kf: KeyFunction, state: AttackState, side: str, cand: int) 
     return all(kf.value(ra, cand) == b for ra, b in zip(state.sampled_ra, state.betas))
 
 
-class _Gf2System:
-    """Incrementally row-reduced affine system over GF(2), masks as ints."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.pivots: dict[int, tuple[int, int]] = {}  # col -> (mask, rhs bit)
-
-    def _reduce(self, mask: int, b: int) -> tuple[int, int]:
-        while mask:
-            top = mask.bit_length() - 1
-            if top not in self.pivots:
-                break
-            pm, pb = self.pivots[top]
-            mask ^= pm
-            b ^= pb
-        return mask, b
-
-    def add(self, mask: int, b: int) -> bool:
-        """False when the row contradicts the system."""
-        mask, b = self._reduce(mask, b)
-        if mask == 0:
-            return b == 0
-        self.pivots[mask.bit_length() - 1] = (mask, b)
-        return True
-
-    def free_columns(self) -> list[int]:
-        return [j for j in range(self.width) if j not in self.pivots]
-
-    def solve(self, free_assignment: int) -> int:
-        """Complete a solution from values on the free columns."""
-        x = free_assignment
-        for col in sorted(self.pivots):
-            pm, pb = self.pivots[col]
-            bit = pb ^ ((pm & x & ~(1 << col)).bit_count() & 1)
-            x = (x & ~(1 << col)) | (bit << col)
-        return x
-
-    def sample_uniform(self, rng: np.random.Generator) -> int:
-        free = 0
-        for j in self.free_columns():
-            free |= int(rng.integers(0, 2)) << j
-        return self.solve(free)
-
-    def lex_min(self) -> int:
-        """Greedy MSB-first: force each bit to 0 whenever still consistent."""
-        for j in reversed(range(self.width)):
-            mask, b = self._reduce(1 << j, 0)
-            if mask == 0:
-                continue  # bit already forced to value b
-            # free to choose: pin x_j = 0 by adding the reduced row
-            self.pivots[mask.bit_length() - 1] = (mask, b)
-        return self.solve(0)
-
-
-def _affine_system(kf: KeyFunction, side: str, others, outcomes) -> _Gf2System:
-    rows, other_rows = (kf.rows_a, kf.rows_b) if side == "a" else (kf.rows_b, kf.rows_a)
-    system = _Gf2System(kf.r)
-    for other, outcome in zip(others, outcomes):
-        rhs = outcome ^ kf.const ^ _parities(other_rows, other)
-        for o, row in enumerate(rows):
-            if not system.add(row, (rhs >> o) & 1):
-                raise AssertionError("observations came from a real run")
-    return system
+def _affine_rhs(kf: KeyFunction, ech: RowEchelon, other: RowEchelon, outcomes, words) -> int:
+    """The y = M·r, r the intercepted coins, that every probe outcome implies;
+    raises unless all probes give the same y and y is in the image of M."""
+    ys = {out ^ p for out, p in zip(outcomes, _word_parities(other.words, words))}
+    y = ys.pop() ^ kf.const if len(ys) == 1 else None
+    if y is None or _parities(ech.rows, _solve(ech.top, y)) != y:
+        raise AssertionError("observations came from a real run")
+    return y
 
 
 def eve_offline(proto: ClassicalKeyProtocol, state: AttackState,
@@ -351,8 +393,9 @@ def eve_offline(proto: ClassicalKeyProtocol, state: AttackState,
     """Intersect the logged observations into candidate sets and guess.
 
     The left candidate is drawn uniformly from its set, the right one is the
-    lexicographically smallest member. Returns None (and flags the state)
-    only when the rejection fallback exhausts its draw cap.
+    lexicographically smallest member; for affine keys both are read off the
+    key function's echelon forms. Returns None (and flags the state) only
+    when the rejection fallback exhausts its draw cap.
     """
     kf = proto.key_function
     if method is None:
@@ -383,12 +426,14 @@ def eve_offline(proto: ClassicalKeyProtocol, state: AttackState,
     elif method == "affine":
         if not kf.is_affine:
             raise ValueError("affine path needs an affine key function")
-        sys_a = _affine_system(kf, "a", state.sampled_rb, state.alphas)
-        sys_b = _affine_system(kf, "b", state.sampled_ra, state.betas)
+        ech_a, ech_b = kf.echelon_a, kf.echelon_b
+        y_a = _affine_rhs(kf, ech_a, ech_b, state.alphas, state.rb_words)
+        y_b = _affine_rhs(kf, ech_b, ech_a, state.betas, state.ra_words)
         state.gamma_a = lambda c: gamma_membership(kf, state, "a", c)
         state.gamma_b = lambda c: gamma_membership(kf, state, "b", c)
-        state.r_star_a = sys_a.sample_uniform(rng)
-        state.r_star_b = sys_b.lex_min()
+        bits = rng.integers(0, 2, size=len(ech_a.free)).tolist()
+        state.r_star_a = _solve(ech_a.top, y_a, sum(b << j for j, b in zip(ech_a.free, bits)))
+        state.r_star_b = _solve(ech_b.low, y_b)
     elif method == "rejection":
         state.gamma_a = lambda c: gamma_membership(kf, state, "a", c)
         state.gamma_b = lambda c: gamma_membership(kf, state, "b", c)

@@ -2,14 +2,24 @@
 
 Each file under ``tests/golden/`` holds the exact output of one fixed
 configuration. A refactor that keeps behaviour reproduces every file byte for
-byte; a change that deliberately alters the order of random draws regenerates
-them with ``python tests/test_golden.py`` and says so in CHANGES.md.
+byte. A change that deliberately alters the order of random draws regenerates
+exactly the files it moves, by name, and says so in CHANGES.md::
+
+    PYTHONPATH=src python tests/test_golden.py moe_random_n3.csv
+
+A bare ``python tests/test_golden.py`` lists the golden files and writes
+nothing.
 
 The CLI records of the no-go attack read 1.0 for every crackable family, so
 they cannot tell one candidate draw from another. ``nogo_attack_trace.txt``
-therefore also pins the coins the offline phase picks on each trial.
+therefore also pins the coins the offline phase picks on each trial, and
+``nogo_attack_trace_wide.txt`` does the same for coins wider than two 32-bit
+words (r = 80) and for a rank-deficient affine key.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -61,17 +71,8 @@ def grid_csv(name: str) -> str:
     return records_to_csv(run(RunConfig(seed=1, **CSV_GRID[name])))
 
 
-def attack_trace() -> str:
+def _trace_lines(families, rng) -> str:
     """One line per intercepted run: kind, true coins, offline picks, guess."""
-    rng = np.random.default_rng(2024)
-    cols_a = [int(c) for c in rng.integers(0, 8, size=8)]
-    cols_b = [int(c) for c in rng.integers(0, 8, size=8)]
-    families = [
-        ("xor_trunc", xor_trunc_key_function(16, 4)),
-        ("affine_hash", affine_hash_key_function(64, 4, rng)),
-        ("affine", affine_key_function(8, 3, cols_a, cols_b, const=5)),
-        ("table", table_key_function(8, 2, rng)),
-    ]
     lines = []
     for name, kf in families:
         proto = ClassicalKeyProtocol(kf)
@@ -86,6 +87,42 @@ def attack_trace() -> str:
     return "\n".join(lines) + "\n"
 
 
+def attack_trace() -> str:
+    rng = np.random.default_rng(2024)
+    cols_a = [int(c) for c in rng.integers(0, 8, size=8)]
+    cols_b = [int(c) for c in rng.integers(0, 8, size=8)]
+    families = [
+        ("xor_trunc", xor_trunc_key_function(16, 4)),
+        ("affine_hash", affine_hash_key_function(64, 4, rng)),
+        ("affine", affine_key_function(8, 3, cols_a, cols_b, const=5)),
+        ("table", table_key_function(8, 2, rng)),
+    ]
+    return _trace_lines(families, rng)
+
+
+# 3-bit columns of even parity: their span, the image of the key map, has
+# rank 2, so output bit 2 is the xor of bits 0 and 1 on both sides
+RANK2_COLS_A = (3, 5, 0, 6, 3, 0, 5, 5, 6, 0)
+RANK2_COLS_B = (6, 0, 6, 3, 0, 5, 3, 0, 0, 6)
+
+
+def attack_trace_wide() -> str:
+    rng = np.random.default_rng(2025)
+    cols_a = [int(c) for c in rng.integers(0, 32, size=80)]
+    cols_b = [int(c) for c in rng.integers(0, 32, size=80)]
+    families = [
+        ("xor_trunc", xor_trunc_key_function(80, 4)),
+        ("affine", affine_key_function(80, 5, cols_a, cols_b, const=9)),
+        ("affine", affine_key_function(10, 3, RANK2_COLS_A, RANK2_COLS_B, const=6)),
+    ]
+    return _trace_lines(families, rng)
+
+
+GENERATORS = {name: (lambda name=name: grid_csv(name)) for name in CSV_GRID}
+GENERATORS["nogo_attack_trace.txt"] = attack_trace
+GENERATORS["nogo_attack_trace_wide.txt"] = attack_trace_wide
+
+
 @pytest.mark.parametrize("name", sorted(CSV_GRID))
 def test_csv_records_match_golden(name):
     assert grid_csv(name).encode() == (GOLDEN / name).read_bytes()
@@ -95,8 +132,43 @@ def test_attack_trace_matches_golden():
     assert attack_trace().encode() == (GOLDEN / "nogo_attack_trace.txt").read_bytes()
 
 
-if __name__ == "__main__":
+def test_wide_attack_trace_matches_golden():
+    assert attack_trace_wide().encode() == (GOLDEN / "nogo_attack_trace_wide.txt").read_bytes()
+
+
+def regenerate(names) -> None:
+    unknown = sorted(set(names) - set(GENERATORS))
+    if unknown:
+        raise SystemExit("unknown golden file(s): %s" % ", ".join(unknown))
     GOLDEN.mkdir(exist_ok=True)
-    for name in CSV_GRID:
-        (GOLDEN / name).write_text(grid_csv(name))
-    (GOLDEN / "nogo_attack_trace.txt").write_text(attack_trace())
+    for name in names:
+        (GOLDEN / name).write_text(GENERATORS[name]())
+        print("wrote", GOLDEN / name)
+
+
+def test_regenerate_writes_only_the_named_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
+    regenerate(["nogo_attack_trace.txt"])
+    assert [f.name for f in tmp_path.iterdir()] == ["nogo_attack_trace.txt"]
+    assert (tmp_path / "nogo_attack_trace.txt").read_bytes() == \
+        (Path(__file__).parent / "golden" / "nogo_attack_trace.txt").read_bytes()
+    with pytest.raises(SystemExit):
+        regenerate(["nogo_attack_trace.txt", "no_such_file.csv"])
+    assert [f.name for f in tmp_path.iterdir()] == ["nogo_attack_trace.txt"]
+
+
+def test_bare_invocation_lists_and_writes_nothing():
+    before = {f.name: f.stat().st_mtime_ns for f in GOLDEN.iterdir()}
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    out = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert set(GENERATORS) <= set(out.split())
+    assert {f.name: f.stat().st_mtime_ns for f in GOLDEN.iterdir()} == before
+
+
+if __name__ == "__main__":
+    if len(sys.argv) > 1:
+        regenerate(sys.argv[1:])
+    else:
+        print("golden files (name them to regenerate; nothing was written):")
+        print("\n".join(sorted(GENERATORS)))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,8 @@ def test_key_function_validation():
         affine_key_function(4, 2, [0] * 4, [0] * 4, const=4)
     with pytest.raises(ValueError):
         ClassicalKeyProtocol(xor_trunc_key_function(4, 2), s_bits=5)
+    with pytest.raises(ValueError):
+        ClassicalKeyProtocol(xor_trunc_key_function(4, 2), t_samples=0)
 
 
 def affine_by_definition(cols_a, cols_b, const, ra, rb):
@@ -296,3 +300,156 @@ def test_guaranteed_floor_values():
     assert nogo_bound(16) > 0.0
     assert abs(nogo_bound(64) - (1 / 3 - 2 * (8 / 9) ** 64)) <= 1e-15
     assert abs(nogo_bound(64) - 0.3322685321) <= 1e-9
+
+
+def scalar_rand_bits(rng, bits):
+    """Coin drawn one 32-bit word per call, low word first."""
+    out = 0
+    for lo in range(0, bits, 32):
+        out |= int(rng.integers(0, 1 << min(32, bits - lo))) << lo
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_batched_coin_draw_matches_scalar_draws(seed):
+    # the golden traces rest on numpy drawing an array of bounds element by
+    # element; if a numpy release changes that, this fails before they do
+    for bits in range(1, 131):
+        ss = np.random.SeedSequence([seed, bits])
+        batch, single, scalar = (np.random.default_rng(ss) for _ in range(3))
+        coins = nogo._join_words(nogo._draw_words(batch, bits, 5))
+        assert coins == [nogo._rand_bits(single, bits) for _ in range(5)]
+        assert coins == [scalar_rand_bits(scalar, bits) for _ in range(5)]
+        assert all(0 <= c < 1 << bits for c in coins)
+        coin_flips = batch.integers(0, 2, size=9).tolist()
+        assert coin_flips == [int(single.integers(0, 2)) for _ in range(9)]
+        assert coin_flips == [int(scalar.integers(0, 2)) for _ in range(9)]
+
+
+class IncrementalGf2:
+    """Row-reduction oracle: rows added one at a time, pivots keyed by top bit."""
+
+    def __init__(self, width):
+        self.width = width
+        self.pivots = {}  # col -> (mask, rhs bit)
+
+    def _reduce(self, mask, b):
+        while mask:
+            top = mask.bit_length() - 1
+            if top not in self.pivots:
+                break
+            pm, pb = self.pivots[top]
+            mask ^= pm
+            b ^= pb
+        return mask, b
+
+    def add(self, mask, b):
+        mask, b = self._reduce(mask, b)
+        if mask == 0:
+            return b == 0
+        self.pivots[mask.bit_length() - 1] = (mask, b)
+        return True
+
+    def solve(self, free_assignment):
+        x = free_assignment
+        for col in sorted(self.pivots):
+            pm, pb = self.pivots[col]
+            bit = pb ^ ((pm & x & ~(1 << col)).bit_count() & 1)
+            x = (x & ~(1 << col)) | (bit << col)
+        return x
+
+    def sample_uniform(self, rng):
+        free = 0
+        for j in range(self.width):
+            if j not in self.pivots:
+                free |= int(rng.integers(0, 2)) << j
+        return self.solve(free)
+
+    def lex_min(self):
+        """Greedy MSB-first: force each bit to 0 whenever still consistent."""
+        for j in reversed(range(self.width)):
+            mask, b = self._reduce(1 << j, 0)
+            if mask:
+                self.pivots[mask.bit_length() - 1] = (mask, b)
+        return self.solve(0)
+
+
+def oracle_system(kf, rows, other_rows, others, outcomes):
+    system = IncrementalGf2(kf.r)
+    for other, outcome in zip(others, outcomes):
+        rhs = outcome ^ kf.const ^ nogo._parities(other_rows, other)
+        for o, row in enumerate(rows):
+            if not system.add(row, (rhs >> o) & 1):
+                return None
+    return system
+
+
+@st.composite
+def attack_cases(draw):
+    r = draw(st.integers(1, 130))
+    m = draw(st.integers(1, min(r, 8)))
+    # columns from the span of at most m vectors: rank-deficient maps too
+    basis = draw(st.lists(st.integers(0, 2**m - 1), min_size=0, max_size=m))
+    probes = draw(st.integers(1, 2 * r))
+    return r, m, basis, probes, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(attack_cases())
+def test_closed_form_offline_matches_row_reduction(case):
+    r, m, basis, probes, seed = case
+    rng = np.random.default_rng(seed)
+
+    def column():
+        c = 0
+        for v, pick in zip(basis, rng.integers(0, 2, size=len(basis))):
+            c ^= v * int(pick)
+        return c
+
+    cols_a = [column() for _ in range(r)]
+    cols_b = [column() for _ in range(r)]
+    kf = affine_key_function(r, m, cols_a, cols_b, const=int(rng.integers(0, 2**m)))
+    proto = ClassicalKeyProtocol(kf, t_samples=probes)
+    _, _, key, state = intercepted_run(proto, rng)
+
+    sys_a = oracle_system(kf, kf.rows_a, kf.rows_b, state.sampled_rb, state.alphas)
+    sys_b = oracle_system(kf, kf.rows_b, kf.rows_a, state.sampled_ra, state.betas)
+    assert sys_a is not None and sys_b is not None
+    assert sorted(sys_a.pivots) == sorted(kf.echelon_a.top)
+    closed_rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    guess = eve_offline(proto, state, closed_rng, method="affine")
+    assert state.r_star_a == sys_a.sample_uniform(oracle_rng)
+    assert state.r_star_b == sys_b.lex_min()
+    assert closed_rng.integers(0, 2**32) == oracle_rng.integers(0, 2**32)
+    assert gamma_membership(kf, state, "a", state.r_star_a)
+    assert gamma_membership(kf, state, "b", state.r_star_b)
+    assert guess == key
+
+
+def rank2_key_function(rng):
+    """m = 3 with column rank 2: even-parity columns make bit 2 = bit 0 ^ bit 1."""
+    even = np.array([0, 3, 5, 6])
+    cols_a = even[rng.integers(0, 4, size=10)].tolist()
+    cols_b = even[rng.integers(0, 4, size=10)].tolist()
+    kf = affine_key_function(10, 3, cols_a, cols_b, const=6)
+    assert len(kf.echelon_a.top) == len(kf.echelon_b.top) == 2
+    return kf
+
+
+@pytest.mark.parametrize("method", ["affine", "enumeration"])
+def test_tampered_observations_are_rejected(method):
+    rng = np.random.default_rng(56)
+    proto = ClassicalKeyProtocol(rank2_key_function(rng))
+    _, _, key, state = intercepted_run(proto, rng)
+    tampered = [
+        replace(state, alphas=(state.alphas[0] ^ 1,) + state.alphas[1:]),
+        replace(state, betas=state.betas[:3] + (state.betas[3] ^ 4,) + state.betas[4:]),
+        # the same shift on every probe, by an odd-parity vector: consistent
+        # across probes, but outside the image of the key map
+        replace(state, alphas=tuple(a ^ 1 for a in state.alphas)),
+        replace(state, betas=tuple(b ^ 7 for b in state.betas)),
+    ]
+    for bad in tampered:
+        with pytest.raises(AssertionError, match="real run"):
+            eve_offline(proto, bad, rng, method=method)
+    assert eve_offline(proto, state, rng, method=method) == key

@@ -4,6 +4,14 @@ truncated-digest hash.
 The universal family is h_{a,b}(x) = first ell bits (most significant, in the
 polynomial-basis encoding) of a*x + b, with arithmetic in GF(2^n). Field
 elements are ints; bit i of the int is the coefficient of x^i.
+
+``gf_mul_table(n)`` is the one GF(2^n) product kernel: every product a*z at
+once, built lazily per n <= MAX_DISTANCE_BITS by the doubling step (a*z is
+linear in a and in z over GF(2)) and returned read-only. The exact collision
+counts, the extractor distance and the exact protocol distances read their
+products from it; above MAX_DISTANCE_BITS the collision count builds the one
+column it needs by the same step. ``gf_mul`` and ``uh_eval`` stay the scalar
+definitions for single products.
 """
 
 from __future__ import annotations
@@ -11,12 +19,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import log2
 from typing import Iterator
 
 import numpy as np
-
-from .quantum import trace_norm_hermitian
 
 # Reduction polynomials, one per supported field degree: the lowest-integer
 # irreducible polynomial of that degree over GF(2) (includes the x^n term).
@@ -134,14 +141,46 @@ def uh_enumerate_seeds(n: int) -> Iterator[tuple[int, int]]:
             yield (a, b)
 
 
-def _products_with_all_a(n: int, z: int) -> np.ndarray:
-    """Vector of a*z over all a in GF(2^n), exploiting linearity in a."""
-    prods = np.zeros(1 << n, dtype=np.uint64)
-    for i in range(n):
-        basis = gf_mul(n, 1 << i, z)
+def _xor_span(basis: np.ndarray) -> np.ndarray:
+    """out[a] = xor of basis[i] over the set bits i of a, by doubling."""
+    out = np.zeros((1 << len(basis),) + basis.shape[1:], dtype=basis.dtype)
+    for i, row in enumerate(basis):
         lo = 1 << i
-        prods[lo : 2 * lo] = prods[:lo] ^ np.uint64(basis)
-    return prods
+        out[lo : 2 * lo] = out[:lo] ^ row
+    return out
+
+
+def _products_with_all_a(n: int, z: int) -> np.ndarray:
+    """Column z of the product table: a*z over all a in GF(2^n)."""
+    return _xor_span(np.array([gf_mul(n, 1 << i, z) for i in range(n)], dtype=np.uint16))
+
+
+@cache
+def _field_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The product table and its collision counts, both read-only.
+
+    counts[z, ell] is the number of a whose product a*z has its top ell bits
+    all zero; column 0 is unused.
+    """
+    # row a = 2^i of the table is column 2^i, by symmetry of the product
+    table = _xor_span(np.stack([_products_with_all_a(n, 1 << i) for i in range(n)]))
+    counts = np.zeros((1 << n, n + 1), dtype=np.int64)
+    for ell in range(1, n + 1):
+        counts[:, ell] = (table >> (n - ell) == 0).sum(axis=0)
+    table.flags.writeable = False
+    counts.flags.writeable = False
+    return table, counts
+
+
+def gf_mul_table(n: int) -> np.ndarray:
+    """T[a, z] = a*z in GF(2^n) for all a and z, as a read-only uint16 array.
+
+    Built on first use for each n <= MAX_DISTANCE_BITS and shared afterwards.
+    """
+    _require_field(n)
+    if n > MAX_DISTANCE_BITS:
+        raise ValueError(f"product table capped at n <= {MAX_DISTANCE_BITS}")
+    return _field_tables(n)[0]
 
 
 def uh_collision_probability(n: int, ell: int, x: int, y: int) -> Fraction:
@@ -160,8 +199,10 @@ def uh_collision_probability(n: int, ell: int, x: int, y: int) -> Fraction:
     _require_element(n, y, "y")
     if x == y:
         raise ValueError("collision probability is defined for distinct inputs")
-    prods = _products_with_all_a(n, x ^ y)
-    count = int((prods >> np.uint64(n - ell) == 0).sum())
+    if n <= MAX_DISTANCE_BITS:
+        count = int(_field_tables(n)[1][x ^ y, ell])
+    else:
+        count = int((_products_with_all_a(n, x ^ y) >> (n - ell) == 0).sum())
     return Fraction(count, 1 << n)
 
 
@@ -215,18 +256,25 @@ def extractor_distance(
         raise ValueError(f"need a weight for each of the 2^{n} source strings")
     if abs(probs.sum() - 1.0) > 1e-10 or probs.min() < -1e-15:
         raise ValueError("probs must form a distribution")
-    dim = states[0].shape[0]
-    weighted = [probs[x] * np.asarray(states[x], dtype=complex) for x in range(1 << n)]
-    rho_avg = np.sum(weighted, axis=0)
-    uniform_part = rho_avg / (1 << ell)
+    if len(states) != 1 << n:
+        raise ValueError(f"need a side-information state for each of the 2^{n} source strings")
+    states = [np.asarray(st, dtype=complex) for st in states]
+    shape = states[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(st.shape != shape for st in states):
+        raise ValueError("side-information states must be square and of one shape")
+    weighted = np.stack([probs[x] * states[x] for x in range(1 << n)])
+    uniform_part = weighted.sum(axis=0) / (1 << ell)
+    support = np.flatnonzero(probs != 0.0)  # x order, zero weights skipped
+    outputs = gf_mul_table(n)[:, support] >> (n - ell)
+    terms = weighted[support]
     total = 0.0
     for a in range(1 << n):
-        blocks = [np.zeros((dim, dim), dtype=complex) for _ in range(1 << ell)]
-        for x in range(1 << n):
-            if probs[x] == 0.0:
-                continue
-            blocks[gf_mul(n, a, x) >> (n - ell)] += weighted[x]
-        total += 0.5 * sum(trace_norm_hermitian(blk - uniform_part) for blk in blocks)
+        # ufunc.at adds repeated indices one at a time in x order, so each
+        # block sums its terms in the order a loop over x would
+        blocks = np.zeros((1 << ell,) + shape, dtype=complex)
+        np.add.at(blocks, outputs[a], terms)
+        norms = np.abs(np.linalg.eigvalsh(blocks - uniform_part)).sum(axis=-1)
+        total += 0.5 * sum(norms.tolist())
     return total / (1 << n)
 
 

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .entropy import CqEnsemble, GuessBracket, pguess
-from .hashing import CrHashFamily, gf_mul, uh_eval, uh_sample_seed
+from .hashing import CrHashFamily, gf_mul_table, uh_eval, uh_sample_seed
 from .nike import (
     IDENTITY_A,
     IDENTITY_B,
@@ -47,7 +47,6 @@ from .quantum import (
     measure_in_theta_basis,
     partial_trace,
     theta_unitary,
-    trace_norm_hermitian,
 )
 
 MAX_EVE_QUBITS = 4
@@ -374,16 +373,6 @@ def weak_security_report(
     )
 
 
-def _top_bit_table(bits: int, ell: int) -> np.ndarray:
-    """table[a, x] = top ell bits of the field product a*x in GF(2^bits)."""
-    size = 2**bits
-    tab = np.zeros((size, size), dtype=np.int64)
-    for a in range(size):
-        for x in range(size):
-            tab[a, x] = gf_mul(bits, a, x) >> (bits - ell)
-    return tab
-
-
 def _passive_distance(n: int, m: int) -> float:
     """Exact trace distance for an attacker who only reads the classical flow.
 
@@ -398,7 +387,7 @@ def _passive_distance(n: int, m: int) -> float:
     size = 2**bits
     if size > 16 or m != 1:
         raise ValueError("exact passive route limited to n <= 2, m = 1")
-    tab = _top_bit_table(bits, ell)  # entries in {0, 1} since ell = 1
+    tab = gf_mul_table(bits) >> (bits - ell)  # tab[a, x] in {0, 1} since ell = 1
     masks = np.arange(2**size, dtype=np.uint64)
     member = ((masks[:, None] >> np.arange(size, dtype=np.uint64)[None, :]) & 1).astype(np.float64)
     sizes = member.sum(axis=1)
@@ -415,17 +404,26 @@ def _passive_distance(n: int, m: int) -> float:
 
 def _swap_distance(n: int, m: int) -> tuple[float, float]:
     """Exact trace distances when the first sub-instance transit is swapped
-    for fresh pairs; feasible by full enumeration only at n = 1, m = 1."""
+    for fresh pairs; feasible by full enumeration only at n = 1, m = 1.
+
+    A configuration is (f_a, f_b, d_a, d_b, s): both digest functions, both
+    digests and the extractor seed s = (a, b). For each one, side and output
+    y, an accumulator sums the hidden (theta, ka0, kb0, k1) terms on E.
+    Configurations are taken one f_a block at a time; each term updates the
+    rows its gates admit, so every accumulator sees the same additions in the
+    same order as a per-configuration loop would, and one stacked eigvalsh
+    per block gives the trace norms, summed in configuration order.
+    """
     if n != 1 or m != 1:
         raise ValueError("exact swap route limited to n = 1, m = 1")
     bits = 2  # raw key width
     ell = extract_bits(n, m)
     size = 2**bits
     n_funcs = 2**size  # all digest functions {0,1}^2 -> {0,1}
-    seeds = [(a, b) for a in range(4) for b in range(4)]
+    products = gf_mul_table(bits)
 
     # Eve's quantum side: |ka0>_theta (x) |kb0>_theta, dim 4
-    omega = {}
+    omega = np.zeros((2, 2, 2, 4, 4), dtype=np.complex128)
     for theta in (0, 1):
         u = theta_unitary((theta,))
         for ka0 in (0, 1):
@@ -433,35 +431,39 @@ def _swap_distance(n: int, m: int) -> tuple[float, float]:
                 v = np.kron(u[:, ka0], u[:, kb0])
                 omega[theta, ka0, kb0] = np.outer(v, v.conj())
 
-    def f_eval(f: int, x: int) -> int:
+    def f_eval(f, x):
         return (f >> x) & 1
+
+    # one row per (f_b, d_a, d_b, a, b), in the order the distances sum them
+    f_b, d_a, d_b, seed_a, seed_b = (
+        idx.ravel() for idx in np.indices((n_funcs, 2, 2, size, size))
+    )
 
     dist = [0.0, 0.0]
     hidden_prob = 0.5 * 0.125 * (1 / n_funcs) ** 2 * (1 / 16)  # theta, keys, f_a, f_b, s
-    for f_a, f_b, d_a, d_b in product(range(n_funcs), range(n_funcs), (0, 1), (0, 1)):
-        for s in seeds:
-            acc = [
-                {0: np.zeros((4, 4), dtype=np.complex128), 1: np.zeros((4, 4), dtype=np.complex128)}
-                for _ in range(2)
-            ]
-            for theta, ka0, kb0, k1 in product((0, 1), repeat=4):
-                key_a = (ka0 << 1) | k1
-                key_b = (kb0 << 1) | k1
-                if f_eval(f_a, key_a) != d_a or f_eval(f_b, key_b) != d_b:
-                    continue
-                w = hidden_prob * omega[theta, ka0, kb0]
-                gate_a = f_eval(f_b, key_a) == d_b
-                gate_b = f_eval(f_a, key_b) == d_a
-                for side, (gate, key) in enumerate(((gate_a, key_a), (gate_b, key_b))):
-                    if not gate:
-                        continue  # final output None matches the resampled None
-                    kstar = uh_eval(bits, ell, s, key)
-                    acc[side][kstar] += w
-                    for y in (0, 1):
-                        acc[side][y] -= w / 2
-            for side in range(2):
+    # acc[row, side, y] is the operator on E for output y on that side; one
+    # buffer serves every block
+    acc = np.empty((f_b.size, 2, 2, 4, 4), dtype=np.complex128)
+    for f_a in range(n_funcs):
+        acc.fill(0)
+        for theta, ka0, kb0, k1 in product((0, 1), repeat=4):
+            key_a = (ka0 << 1) | k1
+            key_b = (kb0 << 1) | k1
+            seen = (f_eval(f_a, key_a) == d_a) & (f_eval(f_b, key_b) == d_b)
+            w = hidden_prob * omega[theta, ka0, kb0]
+            gate_a = seen & (f_eval(f_b, key_a) == d_b)
+            gate_b = seen & (f_eval(f_a, key_b) == d_a)
+            for side, (gate, key) in enumerate(((gate_a, key_a), (gate_b, key_b))):
+                # ungated rows: the final output None matches the resampled None
+                live = np.flatnonzero(gate)
+                kstar = (products[seed_a[live], key] ^ seed_b[live]) >> (bits - ell)
+                acc[live, side, kstar] += w
                 for y in (0, 1):
-                    dist[side] += 0.5 * trace_norm_hermitian(acc[side][y])
+                    acc[live, side, y] -= w / 2
+        norms = np.abs(np.linalg.eigvalsh(acc)).sum(axis=-1)
+        for side in range(2):
+            for norm in norms[:, side].ravel().tolist():  # (row, y) order
+                dist[side] += 0.5 * norm
     return dist[0], dist[1]
 
 

@@ -15,6 +15,10 @@ they cannot tell one candidate draw from another. ``nogo_attack_trace.txt``
 therefore also pins the coins the offline phase picks on each trial, and
 ``nogo_attack_trace_wide.txt`` does the same for coins wider than two 32-bit
 words (r = 80) and for a rank-deficient affine key.
+
+``extractor_distance.txt`` pins the exact floats of ``extractor_distance``:
+criterion 10's flat sources with its seeded supports, classical side
+information on a qubit, and non-diagonal qubit states with some zero weights.
 """
 
 import os
@@ -25,7 +29,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moeqkd.harness import RunConfig, records_to_csv, run
+from moeqkd.harness import RunConfig, records_to_csv, rng_substream, run
+from moeqkd.hashing import ExtractorSpec, extractor_distance
 from moeqkd.nogo import (
     ClassicalKeyProtocol,
     affine_hash_key_function,
@@ -64,6 +69,8 @@ CSV_GRID = {
                                         n=2, trials=100),
     "two_round_swap_epr_sub0_n1.csv": dict(experiment="two-round", adversary="swap_epr_sub0",
                                            n=1, m=1, trials=100),
+    "two_round_passive_n2.csv": dict(experiment="two-round", scheme="ideal", adversary="none",
+                                     n=2, m=1, trials=100),
 }
 
 
@@ -118,9 +125,61 @@ def attack_trace_wide() -> str:
     return _trace_lines(families, rng)
 
 
+def _random_qubit_state(rng) -> np.ndarray:
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def extractor_distance_trace() -> str:
+    """One line per source: its description and the repr of the distance."""
+    lines = []
+    # criterion 10's flat sources, drawn in its order from its substream
+    rng = rng_substream(110, 0)
+    trivial = [np.eye(1, dtype=complex)]
+    for n in (2, 4, 6):
+        for ell in range(1, n + 1):
+            for k in range(ell + 1, n + 1):
+                spec = ExtractorSpec(n, ell, float(k), 2.0 ** (-(k - ell) / 2))
+                supports = [
+                    ("prefix", np.arange(1 << k)),
+                    ("stride", np.arange(0, 1 << n, 1 << (n - k))),
+                    ("random", rng.choice(1 << n, size=1 << k, replace=False)),
+                ]
+                for label, sup in supports:
+                    probs = np.zeros(1 << n)
+                    probs[sup] = 1.0 / (1 << k)
+                    d = extractor_distance(spec, probs, trivial * (1 << n))
+                    lines.append(f"flat n={n} ell={ell} k={k} {label} {d!r}")
+
+    # the top source bit leaks classically onto a qubit
+    n, ell = 5, 2
+    spec = ExtractorSpec(n, ell, float(n - 1), 2.0 ** (-(n - 1 - ell) / 2.0))
+    states = []
+    for x in range(1 << n):
+        e = np.zeros((2, 2), dtype=complex)
+        e[x >> (n - 1), x >> (n - 1)] = 1.0
+        states.append(e)
+    d = extractor_distance(spec, np.full(1 << n, 1.0 / (1 << n)), states)
+    lines.append(f"classical_top_bit n={n} ell={ell} {d!r}")
+
+    # random mixed qubit states, uneven weights, every third weight zero
+    rng = np.random.default_rng(2026)
+    for n, ell in ((4, 2), (6, 3), (8, 3)):
+        probs = rng.random(1 << n)
+        probs[::3] = 0.0
+        probs /= probs.sum()
+        states = [_random_qubit_state(rng) for _ in range(1 << n)]
+        spec = ExtractorSpec(n, ell, float(ell + 2), 0.5)
+        d = extractor_distance(spec, probs, states)
+        lines.append(f"qubit_mixed n={n} ell={ell} {d!r}")
+    return "\n".join(lines) + "\n"
+
+
 GENERATORS = {name: (lambda name=name: grid_csv(name)) for name in CSV_GRID}
 GENERATORS["nogo_attack_trace.txt"] = attack_trace
 GENERATORS["nogo_attack_trace_wide.txt"] = attack_trace_wide
+GENERATORS["extractor_distance.txt"] = extractor_distance_trace
 
 
 @pytest.mark.parametrize("name", sorted(CSV_GRID))
@@ -136,6 +195,10 @@ def test_wide_attack_trace_matches_golden():
     assert attack_trace_wide().encode() == (GOLDEN / "nogo_attack_trace_wide.txt").read_bytes()
 
 
+def test_extractor_distance_matches_golden():
+    assert extractor_distance_trace().encode() == (GOLDEN / "extractor_distance.txt").read_bytes()
+
+
 def regenerate(names) -> None:
     unknown = sorted(set(names) - set(GENERATORS))
     if unknown:
@@ -148,13 +211,15 @@ def regenerate(names) -> None:
 
 def test_regenerate_writes_only_the_named_files(tmp_path, monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "GOLDEN", tmp_path)
-    regenerate(["nogo_attack_trace.txt"])
-    assert [f.name for f in tmp_path.iterdir()] == ["nogo_attack_trace.txt"]
-    assert (tmp_path / "nogo_attack_trace.txt").read_bytes() == \
-        (Path(__file__).parent / "golden" / "nogo_attack_trace.txt").read_bytes()
+    named = ["extractor_distance.txt", "nogo_attack_trace.txt"]
+    regenerate(named)
+    assert sorted(f.name for f in tmp_path.iterdir()) == named
+    for name in named:
+        assert (tmp_path / name).read_bytes() == \
+            (Path(__file__).parent / "golden" / name).read_bytes()
     with pytest.raises(SystemExit):
         regenerate(["nogo_attack_trace.txt", "no_such_file.csv"])
-    assert [f.name for f in tmp_path.iterdir()] == ["nogo_attack_trace.txt"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == named
 
 
 def test_bare_invocation_lists_and_writes_nothing():

@@ -97,8 +97,51 @@ def test_collision_probability_exact_all_pairs_small_n():
                     assert hx.uh_collision_probability(n, ell, x, y) == Fraction(1, 1 << ell)
                     pairs += 1
         assert pairs == n * comb(1 << n, 2)
+
+
+def test_gf_mul_table_matches_gf_mul():
+    for n in range(1, hx.MAX_DISTANCE_BITS + 1):
+        table = hx.gf_mul_table(n)
+        assert table.shape == (1 << n, 1 << n)
+        expected = [[hx.gf_mul(n, a, z) for z in range(1 << n)] for a in range(1 << n)]
+        assert table.tolist() == expected
+        assert hx.gf_mul_table(n) is table
+        with pytest.raises(ValueError):
+            table[1, 1] = 0
+    assert hx.gf_mul_table(3)[5, 6] == hx.gf_mul(3, 5, 6)
+    with pytest.raises(ValueError):
+        hx.gf_mul_table(hx.MAX_DISTANCE_BITS + 1)
+    with pytest.raises(ValueError):
+        hx.gf_mul_table(33)
+
+
+def test_product_column_above_the_table_matches_gf_mul():
+    # n = 9..16 counts collisions from one column a*z, built by the same step
+    rng = np.random.default_rng(1616)
+    for n in range(hx.MAX_DISTANCE_BITS + 1, hx.MAX_COLLISION_BITS + 1):
+        for z in [1, (1 << n) - 1] + [int(v) for v in rng.integers(2, 1 << n, 3)]:
+            column = hx._products_with_all_a(n, z)
+            assert column.shape == (1 << n,)
+            sample = [0, 1, (1 << n) - 1] + [int(a) for a in rng.integers(0, 1 << n, 200)]
+            assert [int(column[a]) for a in sample] == [hx.gf_mul(n, a, z) for a in sample]
+        x, y = (int(v) for v in rng.choice(1 << n, 2, replace=False))
+        for ell in (1, n // 2, n):
+            assert hx.uh_collision_probability(n, ell, x, y) == Fraction(1, 1 << ell)
+
+
+def test_collision_probability_rejects_bad_inputs():
     with pytest.raises(ValueError):
         hx.uh_collision_probability(4, 1, 5, 5)
+    with pytest.raises(ValueError):
+        hx.uh_collision_probability(12, 3, 7, 7)
+    with pytest.raises(ValueError):
+        hx.uh_collision_probability(17, 1, 0, 1)
+    for n in (4, 12):
+        for ell in (0, n + 1):
+            with pytest.raises(ValueError):
+                hx.uh_collision_probability(n, ell, 0, 1)
+    with pytest.raises(ValueError):
+        hx.uh_collision_probability(4, 1, 0, 16)
 
 
 def test_extractor_spec_validation():
@@ -156,6 +199,20 @@ def test_extractor_distance_rejects_bad_inputs():
     big = hx.ExtractorSpec(10, 1, 10.0, 2 ** -4)
     with pytest.raises(ValueError):
         hx.extractor_distance(big, np.full(1 << 10, 2.0 ** -10), [np.eye(1)] * (1 << 10))
+    uniform = np.full(16, 1.0 / 16)
+    qubit = np.eye(2) / 2
+    bad_states = [
+        [np.eye(1)] * 17,  # one state too many
+        [np.eye(1)] * 15,  # one state too few
+        [np.eye(1)] * 15 + [qubit],  # unequal shapes
+        [np.ones((2, 3))] * 16,  # not square
+        [np.ones(2)] * 16,  # not a matrix
+    ]
+    for states in bad_states:
+        with pytest.raises(ValueError):
+            hx.extractor_distance(spec, uniform, states)
+    # states that ignore x leave only the a = 0 seed biased: 1/16 * 1/2
+    assert hx.extractor_distance(spec, uniform, [qubit] * 16) == pytest.approx(1 / 32)
 
 
 def test_cr_hash_basics():

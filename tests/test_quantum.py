@@ -228,6 +228,27 @@ def test_trace_distance_known_values():
     assert abs(q.trace_distance(zero, plus) - np.sqrt(0.5)) < q.ATOL_EIG
 
 
+def test_stacked_eigvalsh_trace_norms_match_per_matrix_bitwise():
+    # the exact distances take their trace norms from one stacked eigvalsh,
+    # and their pins hold only if that equals trace_norm_hermitian bit for bit
+    rng = np.random.default_rng(909)
+    for dim in (1, 2, 4):
+        g = rng.normal(size=(300, dim, dim)) + 1j * rng.normal(size=(300, dim, dim))
+        herm = g + g.conj().transpose(0, 2, 1)
+        # rank-one projectors minus their uniform share, as the distances build
+        v = g[:, :, 0]
+        proj = np.einsum("ni,nj->nij", v, v.conj()) * rng.random((300, 1, 1))
+        shifted = proj - proj.mean(axis=0) / 2
+        zeros = np.zeros((20, dim, dim), dtype=complex)
+        stack = np.concatenate([herm, shifted, zeros]).reshape(-1, 5, 4, dim, dim)
+        norms = np.abs(np.linalg.eigvalsh(stack)).sum(-1)
+        assert norms.shape == stack.shape[:-2]
+        flat = stack.reshape(-1, dim, dim)
+        expected = [q.trace_norm_hermitian(mat) for mat in flat]
+        assert norms.ravel().tolist() == expected
+        assert norms.ravel()[-20:].tolist() == [0.0] * 20
+
+
 def test_operator_leq():
     ok, wit = q.operator_leq(np.diag([0.2, 0.1]), np.diag([0.3, 0.1]))
     assert ok and wit >= -q.ATOL_EIG

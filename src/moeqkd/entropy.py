@@ -6,6 +6,13 @@ guessing probability p_guess(X|B) is the optimum of a semidefinite program;
 we return a two-sided bracket whose certificates (an explicitly feasible POVM
 for the lower end, an explicitly dual-feasible operator for the upper end)
 are re-verified with plain numpy, so no solver is trusted.
+
+Two labels have the Helstrom optimum in closed form: with
+Delta = p_0 rho_0 - p_1 rho_1, the projector onto Delta's positive part and
+the dual sigma = p_1 rho_1 + Delta_+ meet up to rounding. More labels run a
+fixed-point ascent over one (k, d, d) stack of POVM elements, seeded by the
+pretty-good measurement. When its first bracket misses the gap, a longer
+ascent runs and the dual also tries sigma_0 + sum_x (p_x rho_x - sigma_0)_+.
 """
 
 from __future__ import annotations
@@ -124,49 +131,75 @@ def _pgm(weighted: list[np.ndarray]) -> list[np.ndarray]:
     return [e + defect / len(povm) for e in povm]
 
 
-def _repair_povm(povm: list[np.ndarray]) -> list[np.ndarray]:
+def _positive_part(h: np.ndarray) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
+
+
+def _repair_povm(povm: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Clip negative eigenvalues, then renormalize symmetrically to sum to I."""
-    clipped = []
-    for e in povm:
-        h = 0.5 * (np.asarray(e) + np.asarray(e).conj().T)
-        vals, vecs = np.linalg.eigh(h)
-        clipped.append((vecs * np.maximum(vals, 0.0)) @ vecs.conj().T)
+    clipped = [_positive_part(0.5 * (np.asarray(e) + np.asarray(e).conj().T)) for e in povm]
     total = np.sum(clipped, axis=0)
     # the total is close to I by construction, so the inverse root is benign
     root = _psd_pinv_sqrt(total + 1e-14 * np.eye(total.shape[0]))
     return [root @ e @ root for e in clipped]
 
 
-def _primal_value(weighted: list[np.ndarray], povm: list[np.ndarray]) -> float:
+def _primal_value(weighted: Sequence[np.ndarray], povm: Sequence[np.ndarray]) -> float:
     return float(sum(np.trace(w @ e).real for w, e in zip(weighted, povm)))
 
 
-def _dual_from_povm(weighted: list[np.ndarray], povm: list[np.ndarray]) -> np.ndarray:
-    """Dual-feasible certificate built from a primal iterate by an identity shift."""
+def _iterate_dual(weighted: Sequence[np.ndarray], povm: Sequence[np.ndarray]) -> np.ndarray:
+    """Hermitian part of sum_x w_x E_x, the dual point a primal iterate suggests."""
     sigma = np.zeros_like(weighted[0])
     for w, e in zip(weighted, povm):
         sigma = sigma + w @ e
-    sigma = 0.5 * (sigma + sigma.conj().T)
+    return 0.5 * (sigma + sigma.conj().T)
+
+
+def _dual_from_povm(weighted: Sequence[np.ndarray], povm: Sequence[np.ndarray]) -> np.ndarray:
+    """Dual-feasible certificate built from a primal iterate by an identity shift."""
+    sigma = _iterate_dual(weighted, povm)
     shift = max(float(np.linalg.eigvalsh(w - sigma).max()) for w in weighted)
     if shift > 0.0:
         sigma = sigma + shift * np.eye(sigma.shape[0])
     return sigma
 
 
-def _ascend(weighted: list[np.ndarray], povm: list[np.ndarray], steps: int) -> tuple[list[np.ndarray], int]:
-    """Fixed-point ascent for the discrimination value, stopping when stalled."""
-    best = _primal_value(weighted, povm)
+def _positive_part_dual(weighted: Sequence[np.ndarray], povm: Sequence[np.ndarray]) -> np.ndarray:
+    """sigma_0 + sum_x (w_x - sigma_0)_+ for the iterate's sigma_0.
+
+    Feasible by construction: sigma - w_y >= (w_y - sigma_0)_- >= 0 for every y.
+    """
+    base = _iterate_dual(weighted, povm)
+    sigma = base
+    for w in weighted:
+        sigma = sigma + _positive_part(w - base)
+    return sigma
+
+
+def _ascend(weighted: Sequence[np.ndarray], povm: Sequence[np.ndarray], steps: int) -> tuple[np.ndarray, int]:
+    """Fixed-point ascent for the discrimination value, stopping when stalled.
+
+    Works on (k, d, d) stacks. The gradient and the primal value are running
+    sums over labels in label order, as the per-label loop added them;
+    ``np.sum(axis=0)`` would add pairwise when d = 1 and round differently.
+    """
+    w = np.asarray(weighted)
+    povm = np.asarray(povm)
+    eye = np.eye(w.shape[1])
+    best = _primal_value(w, povm)
     stall = 0
     done = 0
     for done in range(1, steps + 1):
-        g = np.zeros_like(weighted[0])
-        for w, e in zip(weighted, povm):
-            g = g + w @ e @ w
+        wew = w @ povm @ w
+        g = wew[0]
+        for term in wew[1:]:
+            g = g + term
         root = _psd_pinv_sqrt(0.5 * (g + g.conj().T))
-        nxt = [root @ (w @ e @ w) @ root for w, e in zip(weighted, povm)]
-        defect = np.eye(g.shape[0]) - np.sum(nxt, axis=0)
-        nxt = [e + defect / len(nxt) for e in nxt]
-        val = _primal_value(weighted, nxt)
+        nxt = root @ wew @ root
+        nxt = nxt + (eye - np.sum(nxt, axis=0)) / len(nxt)
+        val = float(sum(np.trace(w @ nxt, axis1=1, axis2=2).real))
         if val >= best - 1e-15:
             povm = nxt
         if val - best < 1e-14:
@@ -179,7 +212,7 @@ def _ascend(weighted: list[np.ndarray], povm: list[np.ndarray], steps: int) -> t
     return povm, done
 
 
-def _feasible_dual(weighted: list[np.ndarray], sigma: np.ndarray) -> np.ndarray:
+def _feasible_dual(weighted: Sequence[np.ndarray], sigma: np.ndarray) -> np.ndarray:
     shift = max(float(np.linalg.eigvalsh(w - sigma).max()) for w in weighted)
     if shift > 0.0:
         sigma = sigma + (shift + 1e-14) * np.eye(sigma.shape[0])
@@ -187,7 +220,7 @@ def _feasible_dual(weighted: list[np.ndarray], sigma: np.ndarray) -> np.ndarray:
 
 
 def _verify_certificates(
-    weighted: list[np.ndarray], povm: list[np.ndarray], sigma: np.ndarray
+    weighted: Sequence[np.ndarray], povm: Sequence[np.ndarray], sigma: np.ndarray
 ) -> tuple[float, float]:
     """Recompute both bracket ends from the certificates alone."""
     dim = weighted[0].shape[0]
@@ -200,19 +233,40 @@ def _verify_certificates(
     return lower, upper
 
 
+def _helstrom_certificates(weighted: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Optimal POVM and dual for two labels from one eigendecomposition of w_0 - w_1."""
+    w0, w1 = weighted
+    delta = w0 - w1
+    vals, vecs = np.linalg.eigh(0.5 * (delta + delta.conj().T))
+    plus = vecs[:, vals > 0.0]
+    proj = plus @ plus.conj().T
+    povm = [proj, np.eye(delta.shape[0]) - proj]
+    # sigma - w_0 = Delta_- and sigma - w_1 = Delta_+, both PSD up to rounding
+    sigma = w1 + (vecs * np.maximum(vals, 0.0)) @ vecs.conj().T
+    return povm, _feasible_dual(weighted, sigma)
+
+
 def pguess(ensemble: CqEnsemble, gap: float = DEFAULT_GAP, iteration_cap: int = 100_000) -> GuessBracket:
     """Certified bracket on the optimal guessing probability of the label.
 
-    Lower certificate: a feasible POVM seeded by the pretty-good measurement
-    and improved by fixed-point ascent, which runs longer when the first
-    bracket is wider than ``gap``. Upper certificate: the ascent's iterate
-    made dual-feasible by an identity shift. Both are re-verified in numpy.
+    Two labels: Helstrom's projector onto the positive part of
+    Delta = p_0 rho_0 - p_1 rho_1 and the dual p_1 rho_1 + Delta_+, with no
+    iterations. More labels: a feasible POVM seeded by the pretty-good
+    measurement and improved by a stacked fixed-point ascent, with the
+    iterate made dual-feasible by an identity shift. When that bracket is
+    wider than ``gap``, a longer ascent runs and the smaller-trace dual of
+    the shifted and the positive-part candidates is kept. Every certificate
+    is re-verified in numpy.
     """
     weighted = ensemble.weighted()
     dim = ensemble.dim
     if len(weighted) == 1:
         e = [np.eye(dim, dtype=np.complex128)]
         return GuessBracket(1.0, 1.0, e, weighted[0], True, 0)
+    if len(weighted) == 2:
+        povm, sigma = _helstrom_certificates(weighted)
+        lower, upper = _verify_certificates(weighted, povm, sigma)
+        return GuessBracket(lower, upper, povm, sigma, upper - lower <= gap, 0)
 
     povm = _pgm(weighted)
     iters_used = 0
@@ -232,9 +286,10 @@ def pguess(ensemble: CqEnsemble, gap: float = DEFAULT_GAP, iteration_cap: int = 
             raw = _repair_povm(raw)
             if _primal_value(weighted, raw) > _primal_value(weighted, povm):
                 povm = raw
-        cand_sigma = _feasible_dual(weighted, _dual_from_povm(weighted, povm))
-        if float(np.trace(cand_sigma).real) < float(np.trace(sigma).real):
-            sigma = cand_sigma
+        candidates = (_dual_from_povm(weighted, povm), _positive_part_dual(weighted, povm))
+        # min keeps the first of equal traces, so a tie keeps the earlier dual
+        sigma = min([sigma, *(_feasible_dual(weighted, c) for c in candidates)],
+                    key=lambda s: float(np.trace(s).real))
         lower, upper = _verify_certificates(weighted, povm, sigma)
 
     return GuessBracket(lower, upper, povm, sigma, upper - lower <= gap, iters_used)

@@ -19,6 +19,10 @@ words (r = 80) and for a rank-deficient affine key.
 ``extractor_distance.txt`` pins the exact floats of ``extractor_distance``:
 criterion 10's flat sources with its seeded supports, classical side
 information on a qubit, and non-diagonal qubit states with some zero weights.
+
+``pguess_brackets.txt`` pins the multi-label ``pguess`` solver: both bracket
+ends and the iteration count for seeded ensembles of three or more labels,
+full-rank and pure, up to dimension 16, and one of 64 labels on a qubit.
 """
 
 import os
@@ -29,6 +33,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from moeqkd.entropy import CqEnsemble, pguess
 from moeqkd.harness import RunConfig, records_to_csv, rng_substream, run
 from moeqkd.hashing import ExtractorSpec, extractor_distance
 from moeqkd.nogo import (
@@ -40,6 +45,7 @@ from moeqkd.nogo import (
     table_key_function,
     xor_trunc_key_function,
 )
+from moeqkd.quantum import random_density_operator
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -176,10 +182,24 @@ def extractor_distance_trace() -> str:
     return "\n".join(lines) + "\n"
 
 
+def pguess_brackets_trace() -> str:
+    """One line per ensemble: labels, dimension, rank, both ends' reprs, iterations."""
+    rng = np.random.default_rng(2027)
+    cases = [(k, d, rank) for k in (3, 4, 6) for d in (2, 4, 8, 16) for rank in (d, 1)]
+    lines = []
+    for k, d, rank in cases + [(64, 2, 2)]:
+        probs = rng.dirichlet(np.ones(k))
+        states = [random_density_operator(d, rng, rank=rank) for _ in range(k)]
+        b = pguess(CqEnsemble(list(range(k)), probs, states))
+        lines.append(f"k={k} d={d} rank={rank} {b.lower!r} {b.upper!r} {b.iterations}")
+    return "\n".join(lines) + "\n"
+
+
 GENERATORS = {name: (lambda name=name: grid_csv(name)) for name in CSV_GRID}
 GENERATORS["nogo_attack_trace.txt"] = attack_trace
 GENERATORS["nogo_attack_trace_wide.txt"] = attack_trace_wide
 GENERATORS["extractor_distance.txt"] = extractor_distance_trace
+GENERATORS["pguess_brackets.txt"] = pguess_brackets_trace
 
 
 @pytest.mark.parametrize("name", sorted(CSV_GRID))
@@ -197,6 +217,10 @@ def test_wide_attack_trace_matches_golden():
 
 def test_extractor_distance_matches_golden():
     assert extractor_distance_trace().encode() == (GOLDEN / "extractor_distance.txt").read_bytes()
+
+
+def test_pguess_brackets_match_golden():
+    assert pguess_brackets_trace().encode() == (GOLDEN / "pguess_brackets.txt").read_bytes()
 
 
 def regenerate(names) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from .harness import (
@@ -101,7 +102,9 @@ def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(ns)
+        start = time.perf_counter()
         records = run(cfg)
+        elapsed = time.perf_counter() - start
         if ns.dump_transcript is not None:
             Path(ns.dump_transcript).write_text(sample_transcript(cfg) + "\n")
     except ValueError as exc:
@@ -119,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
             extra = "" if r.bound is None else f" (bound {r.bound!r})"
             print(f"[{verdict}] {r.metric} = {r.value!r}{extra}")
         print(f"wrote {len(records)} records to {cfg.out} "
-              f"in {records[0].runtime:.2f}s" if records else "wrote 0 records")
+              f"in {elapsed:.2f}s" if records else "wrote 0 records")
     else:
         sys.stdout.write(text)
     return 0 if all(r.passed for r in records) else 1

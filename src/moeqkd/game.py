@@ -15,6 +15,7 @@ enumeration; Monte-Carlo evaluation works for every scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -213,19 +214,16 @@ def sampled_pwin(scheme, strategy: Strategy, n: int, trials: int, rng: np.random
     return GameResult(pwin=pwin, agree_rate=agrees / trials, stderr=stderr, trials=trials)
 
 
-_avg_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
+@cache
 def _averaged_agreement_m1(n: int, s: int) -> np.ndarray:
-    """E_theta P_theta M1, cached per (n, s)."""
-    key = (n, s)
-    if key not in _avg_cache:
-        _, m1 = block_projectors(n, s)
-        acc = np.zeros_like(m1)
-        for t in range(2**n):
-            acc += agreement_projector(int_to_bits(t, n)) @ m1
-        _avg_cache[key] = acc / 2**n
-    return _avg_cache[key]
+    """E_theta P_theta M1, cached per (n, s) and returned read-only."""
+    _, m1 = block_projectors(n, s)
+    acc = np.zeros_like(m1)
+    for t in range(2**n):
+        acc += agreement_projector(int_to_bits(t, n)) @ m1
+    avg = acc / 2**n
+    avg.flags.writeable = False
+    return avg
 
 
 def verify_random_theta_bound(rho_ab: np.ndarray, s: int) -> tuple[float, float, bool]:

@@ -2,16 +2,15 @@
 
 Every invocation owns a single master seed; each stochastic phase inside an
 experiment draws from its own counter-indexed substream, so any emitted row
-can be recomputed bit for bit from (config, seed) alone. Records carry a
-wall-clock runtime for logging, but serialization drops it: emitted CSV and
-JSON artifacts must be byte-identical across same-seed runs.
+can be recomputed bit for bit from (config, seed) alone. Records carry no
+wall-clock time, so emitted CSV and JSON artifacts are byte-identical across
+same-seed runs.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,10 +107,8 @@ class ResultRecord:
     m: int | None = None
     r: int | None = None
     trials: int | None = None
-    runtime: float = 0.0
 
     def as_dict(self) -> dict:
-        # runtime is log-only: it would break byte-identical reruns
         return {c: getattr(self, c) for c in CSV_COLUMNS}
 
     def as_csv_row(self) -> str:
@@ -528,10 +525,7 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> list[ResultRecord]:
     """Execute one experiment; every row is deterministic in (config, seed)."""
-    start = time.perf_counter()
-    records = _RUNNERS[config.experiment](config)
-    elapsed = time.perf_counter() - start
-    return [replace(r, runtime=elapsed) for r in records]
+    return _RUNNERS[config.experiment](config)
 
 
 def sample_transcript(config: RunConfig) -> str:

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import log2
-from typing import Iterator
 
 import numpy as np
 
@@ -127,20 +126,6 @@ def uh_sample_seed(n: int, rng: np.random.Generator) -> tuple[int, int]:
     return a & ((1 << n) - 1), b & ((1 << n) - 1)
 
 
-def uh_seed_count(n: int) -> int:
-    return 1 << (2 * n)
-
-
-def uh_enumerate_seeds(n: int) -> Iterator[tuple[int, int]]:
-    """All 2^(2n) seeds, for exact averages at small n."""
-    _require_field(n)
-    if 2 * n > 2 * MAX_COLLISION_BITS:
-        raise ValueError("seed space too large to enumerate")
-    for a in range(1 << n):
-        for b in range(1 << n):
-            yield (a, b)
-
-
 def _xor_span(basis: np.ndarray) -> np.ndarray:
     """out[a] = xor of basis[i] over the set bits i of a, by doubling."""
     out = np.zeros((1 << len(basis),) + basis.shape[1:], dtype=basis.dtype)
@@ -230,11 +215,6 @@ class ExtractorSpec:
             )
 
 
-def extract(spec: ExtractorSpec, seed: tuple[int, int], x: int) -> int:
-    """Apply the extractor: the universal family keyed by the seed."""
-    return uh_eval(spec.source_bits, spec.output_bits, seed, x)
-
-
 def extractor_distance(
     spec: ExtractorSpec,
     probs: np.ndarray,
@@ -302,11 +282,9 @@ class CrHash:
 
 
 class CrHashFamily:
-    """Keyed compressing hash family backed by a standard digest. Not
-    enumerable; collision resistance is an interface assumption here, not a
-    proven property of the toy key sizes."""
-
-    enumerable = False
+    """Keyed compressing hash family backed by a standard digest. Collision
+    resistance is an interface assumption here, not a proven property of the
+    toy key sizes."""
 
     def __init__(self, input_bits: int, output_bits: int, key_bytes: int = 16):
         self.input_bits = int(input_bits)
@@ -317,32 +295,3 @@ class CrHashFamily:
         key = bytes(int(v) for v in rng.integers(0, 256, self.key_bytes))
         return CrHash(key, self.input_bits, self.output_bits)
 
-    def evaluate(self, member: CrHash, x: int) -> int:
-        return member.digest(x)
-
-
-class UhHashFamily:
-    """The GF(2^n) affine family packaged with the same interface, enumerable
-    for exact experiments. Requires output <= input."""
-
-    enumerable = True
-
-    def __init__(self, input_bits: int, output_bits: int):
-        _require_field(input_bits)
-        if not 1 <= output_bits <= input_bits:
-            raise ValueError("output length must lie in [1, input_bits]")
-        self.input_bits = int(input_bits)
-        self.output_bits = int(output_bits)
-
-    def sample(self, rng: np.random.Generator) -> tuple[int, int]:
-        return uh_sample_seed(self.input_bits, rng)
-
-    def evaluate(self, member: tuple[int, int], x: int) -> int:
-        return uh_eval(self.input_bits, self.output_bits, member, x)
-
-    def enumerate_members(self) -> Iterator[tuple[int, int]]:
-        return uh_enumerate_seeds(self.input_bits)
-
-    @property
-    def n_members(self) -> int:
-        return uh_seed_count(self.input_bits)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -176,22 +177,16 @@ def sample_z(scheme, rng: np.random.Generator) -> ZSample:
     return ZSample(p=(pp, pk_a, pk_b), theta=theta)
 
 
-_dlog_tables: dict[tuple[int, int], dict[int, int]] = {}
-
-
+@cache
 def _dlog_table(prime: int, generator: int) -> dict[int, int]:
-    key = (prime, generator)
-    table = _dlog_tables.get(key)
-    if table is None:
-        table = {}
-        acc = 1
-        for e in range(1, prime):
-            acc = (acc * generator) % prime
-            if acc not in table:
-                table[acc] = e
-            if acc == 1:
-                break
-        _dlog_tables[key] = table
+    table = {}
+    acc = 1
+    for e in range(1, prime):
+        acc = (acc * generator) % prime
+        if acc not in table:
+            table[acc] = e
+        if acc == 1:
+            break
     return table
 
 
@@ -214,8 +209,6 @@ def break_toy_dh(p: tuple) -> tuple[int, ...]:
     if pp[0] != "toydh":
         raise ValueError("not a ToyDhNike public tuple")
     _, n, prime, generator, a, b = pp
-    if prime > _MAX_BREAKABLE_PRIME:
-        raise ValueError("prime too large for brute force")
     x = discrete_log(prime, generator, pk_a)
     secret = pow(pk_b, x, prime)
     return int_to_bits(uh_eval(TOY_DH_SECRET_BITS, n, (a, b), secret), n)

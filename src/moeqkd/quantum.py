@@ -18,7 +18,6 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,10 +28,9 @@ ATOL_STRUCT = 1e-12
 ATOL_EIG = 1e-9
 ATOL_NORM = 1e-10
 
-# Dimension guards: dense density operators above 2^13 and pure states above
-# 2^20 would silently chew through memory, so refuse them.
+# Dimension guard: dense operators on more than 13 qubits would silently chew
+# through memory, so refuse them.
 MAX_DENSITY_QUBITS = 13
-MAX_PURE_QUBITS = 20
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 _IDENTITY = np.eye(2, dtype=np.complex128)
@@ -65,53 +63,6 @@ def n_qubits_of(dim: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Named, ordered qubit registers inside one state vector or operator."""
-
-    registers: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        names = [name for name, _ in self.registers]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate register names")
-        if any(width < 0 for _, width in self.registers):
-            raise ValueError("negative register width")
-
-    @property
-    def n_qubits(self) -> int:
-        return sum(width for _, width in self.registers)
-
-    def width(self, name: str) -> int:
-        for reg, w in self.registers:
-            if reg == name:
-                return w
-        raise KeyError(name)
-
-    def positions(self, name: str) -> list[int]:
-        """Qubit indices occupied by one register."""
-        start = 0
-        for reg, w in self.registers:
-            if reg == name:
-                return list(range(start, start + w))
-            start += w
-        raise KeyError(name)
-
-
-def assert_state_vector(psi: np.ndarray, atol: float = ATOL_NORM) -> int:
-    """Validate a pure state; returns its qubit count."""
-    psi = np.asarray(psi)
-    if psi.ndim != 1:
-        raise ValueError("state vector must be 1-d")
-    n = n_qubits_of(psi.shape[0])
-    if n > MAX_PURE_QUBITS:
-        raise ValueError(f"pure state on {n} qubits exceeds the {MAX_PURE_QUBITS}-qubit cap")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > atol:
-        raise ValueError(f"state vector not normalized: |psi| = {norm}")
-    return n
-
-
 def assert_density_operator(rho: np.ndarray, atol: float = ATOL_EIG) -> int:
     """Validate a density operator (hermitian, PSD, unit trace); returns qubit count."""
     rho = np.asarray(rho)
@@ -128,10 +79,6 @@ def assert_density_operator(rho: np.ndarray, atol: float = ATOL_EIG) -> int:
     if float(np.linalg.eigvalsh(rho).min()) < -atol:
         raise ValueError("density operator not positive semidefinite")
     return n
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
@@ -166,11 +113,6 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
         k -= 1
     d_keep = int(np.prod([dims[q] for q in keep])) if keep else 1
     return t.reshape(d_keep, d_keep)
-
-
-def partial_trace_qubits(rho: np.ndarray, n_qubits: int, keep: Sequence[int]) -> np.ndarray:
-    """Qubit-register convenience wrapper around partial_trace."""
-    return partial_trace(rho, [2] * n_qubits, keep)
 
 
 def trace_norm_hermitian(a: np.ndarray) -> float:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from moeqkd.game import (
     GameResult,
+    _averaged_agreement_m1,
     Strategy,
     basis_reading_strategy,
     decomposition_terms,
@@ -156,6 +157,13 @@ def test_random_theta_bound_on_maximally_mixed():
     assert ok and bound == 0.25
     # per pair: agreement mass 1/2 of which half survives the entangled-part cut
     assert abs(value - 1 / 16) <= 1e-12
+
+
+def test_averaged_agreement_operator_is_cached_read_only():
+    avg = _averaged_agreement_m1(2, 1)
+    assert _averaged_agreement_m1(2, 1) is avg
+    with pytest.raises(ValueError, match="read-only"):
+        avg[0, 0] = 1.0
 
 
 def test_random_theta_bound_random_states():

@@ -23,6 +23,10 @@ information on a qubit, and non-diagonal qubit states with some zero weights.
 ``pguess_brackets.txt`` pins the multi-label ``pguess`` solver: both bracket
 ends and the iteration count for seeded ensembles of three or more labels,
 full-rank and pure, up to dimension 16, and one of 64 labels on a qubit.
+
+The ``*_transcript.json`` files pin one protocol transcript each, the bytes
+``moeqkd ... --dump-transcript`` writes: Eve's state ``rho_e`` is kept in full
+there, so they see float changes in the protocol path that the records hide.
 """
 
 import os
@@ -34,7 +38,7 @@ import numpy as np
 import pytest
 
 from moeqkd.entropy import CqEnsemble, pguess
-from moeqkd.harness import RunConfig, records_to_csv, rng_substream, run
+from moeqkd.harness import RunConfig, records_to_csv, rng_substream, run, sample_transcript
 from moeqkd.hashing import ExtractorSpec, extractor_distance
 from moeqkd.nogo import (
     ClassicalKeyProtocol,
@@ -79,9 +83,21 @@ CSV_GRID = {
                                      n=2, m=1, trials=100),
 }
 
+TRANSCRIPTS = {
+    "niqkd_toydh_swap_epr_n2_transcript.json": dict(experiment="niqkd", scheme="toydh",
+                                                    adversary="swap_epr", n=2),
+    "two_round_swap_epr_sub0_n2_transcript.json": dict(experiment="two-round",
+                                                       adversary="swap_epr_sub0", n=2, m=1),
+}
+
 
 def grid_csv(name: str) -> str:
     return records_to_csv(run(RunConfig(seed=1, **CSV_GRID[name])))
+
+
+def transcript(name: str) -> str:
+    # the CLI's --dump-transcript appends the same newline
+    return sample_transcript(RunConfig(seed=1, **TRANSCRIPTS[name])) + "\n"
 
 
 def _trace_lines(families, rng) -> str:
@@ -196,6 +212,7 @@ def pguess_brackets_trace() -> str:
 
 
 GENERATORS = {name: (lambda name=name: grid_csv(name)) for name in CSV_GRID}
+GENERATORS.update({name: (lambda name=name: transcript(name)) for name in TRANSCRIPTS})
 GENERATORS["nogo_attack_trace.txt"] = attack_trace
 GENERATORS["nogo_attack_trace_wide.txt"] = attack_trace_wide
 GENERATORS["extractor_distance.txt"] = extractor_distance_trace
@@ -205,6 +222,11 @@ GENERATORS["pguess_brackets.txt"] = pguess_brackets_trace
 @pytest.mark.parametrize("name", sorted(CSV_GRID))
 def test_csv_records_match_golden(name):
     assert grid_csv(name).encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
+def test_transcript_matches_golden(name):
+    assert transcript(name).encode() == (GOLDEN / name).read_bytes()
 
 
 def test_attack_trace_matches_golden():

@@ -60,7 +60,7 @@ def test_config_validation():
 
 def test_record_serialization_shape():
     rec = ResultRecord("moe", 3, "pwin", 0.25, bound=0.25, passed=True,
-                       scheme="ideal", n=2, runtime=3.7)
+                       scheme="ideal", n=2)
     row = rec.as_csv_row()
     assert row == "moe,3,ideal,,2,,,,,pwin,0.25,,0.25,true"
     d = rec.as_dict()
@@ -74,7 +74,6 @@ def test_record_serialization_shape():
 def test_emitted_artifacts_ignore_runtime():
     cfg = RunConfig("moe", seed=4, exact=True)
     first, second = run(cfg), run(cfg)
-    assert first[0].runtime != second[0].runtime or first[0].runtime >= 0
     assert records_to_csv(first) == records_to_csv(second)
     assert records_to_json(first) == records_to_json(second)
 

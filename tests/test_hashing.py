@@ -229,13 +229,6 @@ def test_cr_hash_basics():
 
 def test_hash_family_interfaces():
     rng = np.random.default_rng(13)
-    fam = hx.UhHashFamily(4, 2)
-    member = fam.sample(rng)
-    assert 0 <= fam.evaluate(member, 9) < 4
-    assert fam.n_members == 256
-    assert sum(1 for _ in fam.enumerate_members()) == 256
-
     cr = hx.CrHashFamily(4, 16)
     m = cr.sample(rng)
-    assert 0 <= cr.evaluate(m, 9) < (1 << 16)
-    assert not cr.enumerable and fam.enumerable
+    assert 0 <= m.digest(9) < (1 << 16)

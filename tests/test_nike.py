@@ -125,7 +125,7 @@ def test_break_toy_dh_rejects_foreign_tuples():
         break_toy_dh(z.p)
     big = ToyDhNike(2)
     big.prime = (1 << 20) + 7
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="prime too large"):
         break_toy_dh((("toydh", 2, big.prime, 3, 1, 0), 3, 9))
 
 

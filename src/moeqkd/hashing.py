@@ -292,6 +292,6 @@ class CrHashFamily:
         self.key_bytes = int(key_bytes)
 
     def sample(self, rng: np.random.Generator) -> CrHash:
-        key = bytes(int(v) for v in rng.integers(0, 256, self.key_bytes))
+        key = rng.integers(0, 256, self.key_bytes).astype(np.uint8).tobytes()
         return CrHash(key, self.input_bits, self.output_bits)
 

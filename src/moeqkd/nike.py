@@ -59,10 +59,12 @@ class IdealNike:
     object; the published parameters are an opaque handle. The key for a pair
     of public handles is a fixed pseudorandom function of the master secret,
     so derivation is deterministic and identical from both directions while
-    the public tuple reveals nothing about theta.
+    the public tuple reveals nothing about theta. Only the MAX_MASTERS (256)
+    most recent setups keep their master; an older handle is unknown.
     """
 
     name = "ideal"
+    MAX_MASTERS = 256
 
     def __init__(self, n: int):
         if not 1 <= n <= 20:
@@ -73,6 +75,8 @@ class IdealNike:
     def setup(self, rng: np.random.Generator) -> tuple:
         handle = _hex_token(rng)
         self._masters[handle] = rng.integers(0, 256, size=32).astype(np.uint8).tobytes()
+        if len(self._masters) > self.MAX_MASTERS:
+            del self._masters[next(iter(self._masters))]
         return ("ideal", self.n, handle)
 
     def gen(self, pp: tuple, identity: str, rng: np.random.Generator) -> tuple[tuple, str]:

@@ -409,10 +409,10 @@ def _swap_distance(n: int, m: int) -> tuple[float, float]:
     A configuration is (f_a, f_b, d_a, d_b, s): both digest functions, both
     digests and the extractor seed s = (a, b). For each one, side and output
     y, an accumulator sums the hidden (theta, ka0, kb0, k1) terms on E.
-    Configurations are taken one f_a block at a time; each term updates the
-    rows its gates admit, so every accumulator sees the same additions in the
-    same order as a per-configuration loop would, and one stacked eigvalsh
-    per block gives the trace norms, summed in configuration order.
+    Configurations are taken one f_a block at a time. Each term writes 2 bits
+    of a (row, side) signature, 0 when gated out and 1 + kstar otherwise; the
+    terms are added in order once per distinct signature, one stacked eigvalsh
+    gives the trace norms, and they are summed in configuration order.
     """
     if n != 1 or m != 1:
         raise ValueError("exact swap route limited to n = 1, m = 1")
@@ -438,32 +438,37 @@ def _swap_distance(n: int, m: int) -> tuple[float, float]:
     f_b, d_a, d_b, seed_a, seed_b = (
         idx.ravel() for idx in np.indices((n_funcs, 2, 2, size, size))
     )
+    terms = list(product((0, 1), repeat=4))  # (theta, ka0, kb0, k1)
+    shifts = 2 * np.arange(len(terms))
 
     dist = [0.0, 0.0]
     hidden_prob = 0.5 * 0.125 * (1 / n_funcs) ** 2 * (1 / 16)  # theta, keys, f_a, f_b, s
-    # acc[row, side, y] is the operator on E for output y on that side; one
-    # buffer serves every block
-    acc = np.empty((f_b.size, 2, 2, 4, 4), dtype=np.complex128)
     for f_a in range(n_funcs):
-        acc.fill(0)
-        for theta, ka0, kb0, k1 in product((0, 1), repeat=4):
+        sig = np.zeros((f_b.size, 2), dtype=np.int64)  # [row, side]
+        for i, (theta, ka0, kb0, k1) in enumerate(terms):
             key_a = (ka0 << 1) | k1
             key_b = (kb0 << 1) | k1
             seen = (f_eval(f_a, key_a) == d_a) & (f_eval(f_b, key_b) == d_b)
-            w = hidden_prob * omega[theta, ka0, kb0]
             gate_a = seen & (f_eval(f_b, key_a) == d_b)
             gate_b = seen & (f_eval(f_a, key_b) == d_a)
             for side, (gate, key) in enumerate(((gate_a, key_a), (gate_b, key_b))):
-                # ungated rows: the final output None matches the resampled None
                 live = np.flatnonzero(gate)
                 kstar = (products[seed_a[live], key] ^ seed_b[live]) >> (bits - ell)
-                acc[live, side, kstar] += w
-                for y in (0, 1):
-                    acc[live, side, y] -= w / 2
-        norms = np.abs(np.linalg.eigvalsh(acc)).sum(axis=-1)
-        for side in range(2):
-            for norm in norms[:, side].ravel().tolist():  # (row, y) order
-                dist[side] += 0.5 * norm
+                sig[live, side] |= (1 + kstar) << shifts[i]
+        uniq, inverse = np.unique(sig, return_inverse=True)
+        codes = (uniq[:, None] >> shifts) & 3
+        # acc[u, y] is the operator on E for output y of signature u
+        acc = np.zeros((uniq.size, 2, 4, 4), dtype=np.complex128)
+        for i, (theta, ka0, kb0, _) in enumerate(terms):
+            # ungated accumulators: the final output None matches the resampled None
+            live = np.flatnonzero(codes[:, i])
+            w = hidden_prob * omega[theta, ka0, kb0]
+            acc[live, codes[live, i] - 1] += w
+            for y in (0, 1):
+                acc[live, y] -= w / 2
+        norms = np.abs(np.linalg.eigvalsh(acc)).sum(axis=-1)[inverse.reshape(sig.shape)]
+        for side in range(2):  # cumsum adds one by one, in (row, y) order
+            dist[side] = float(np.cumsum(np.r_[dist[side], 0.5 * norms[:, side].ravel()])[-1])
     return dist[0], dist[1]
 
 

@@ -14,6 +14,10 @@ Conventions used across the package:
   ``theta_amplitudes`` contracts one register at a time by matrix products
   for the Monte-Carlo callers; the exact callers contract both registers in
   one einsum of their own, whose rounding their pinned outputs depend on.
+* ``measure_in_theta_basis`` rotates one qubit at a time, by one ``np.dot``
+  with H on a reshaped view: the product ``np.tensordot`` would run, so the
+  protocol transcripts keep their exact bits. The measured register is
+  brought forward by one ``transpose``.
 """
 
 from __future__ import annotations
@@ -289,35 +293,21 @@ def block_projectors(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
     return m0, m1
 
 
-def apply_single_qubit(gate: np.ndarray, qubit: int, state: np.ndarray) -> np.ndarray:
-    """Apply a one-qubit gate at a qubit position of a state vector or density operator."""
-    gate = np.asarray(gate, dtype=np.complex128)
-    state = np.asarray(state, dtype=np.complex128)
-    if gate.shape != (2, 2):
-        raise ValueError("gate must be 2x2")
-    if state.ndim == 1:
-        n = n_qubits_of(state.shape[0])
-        t = state.reshape((2,) * n)
-        t = np.tensordot(gate, t, axes=([1], [qubit]))
-        t = np.moveaxis(t, 0, qubit)
-        return t.reshape(-1)
-    if state.ndim == 2:
-        n = n_qubits_of(state.shape[0])
-        t = state.reshape((2,) * (2 * n))
-        t = np.tensordot(gate, t, axes=([1], [qubit]))
-        t = np.moveaxis(t, 0, qubit)
-        t = np.tensordot(t, gate.conj().T, axes=([n + qubit], [0]))
-        t = np.moveaxis(t, -1, n + qubit)
-        return t.reshape(state.shape)
-    raise ValueError("state must be a vector or a square matrix")
-
-
-def _rotate_theta(state: np.ndarray, qubits: Sequence[int], theta: Sequence[int]) -> np.ndarray:
+def _rotate_theta(state: np.ndarray, n: int, qubits: Sequence[int], theta: Sequence[int]) -> np.ndarray:
+    """H on every qubit whose theta bit is 1: one np.dot with H on the (2, rest)
+    layout np.tensordot builds, so it rounds as a per-qubit tensordot; a
+    density operator's columns get np.dot(., H^dagger) on the (rest, 2) layout."""
     for q, tb in zip(qubits, theta):
-        if tb == 1:
-            state = apply_single_qubit(HADAMARD, q, state)
-        elif tb != 0:
+        if tb == 0:
+            continue
+        if tb != 1:
             raise ValueError(f"not a bit: {tb!r}")
+        t = state.reshape(1 << q, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+        t = np.dot(HADAMARD, t).reshape(2, 1 << q, -1).transpose(1, 0, 2)
+        if state.ndim == 2:
+            t = t.reshape(1 << (n + q), 2, -1).transpose(0, 2, 1).reshape(-1, 2)
+            t = np.dot(t, HADAMARD.conj().T).reshape(1 << (n + q), -1, 2).transpose(0, 2, 1)
+        state = t.reshape(state.shape)
     return state
 
 
@@ -339,44 +329,38 @@ def measure_in_theta_basis(
     if len(set(qubits)) != len(qubits):
         raise ValueError("repeated qubit")
     state = np.asarray(state, dtype=np.complex128)
-    # Rotate the measured qubits into the computational frame, sample there,
-    # collapse, then rotate back. H is self-inverse so the same rotation undoes.
-    rotated = _rotate_theta(state, qubits, theta)
     r = len(qubits)
     if r == 0:
         return (), state
-    if rotated.ndim == 1:
-        n = n_qubits_of(rotated.shape[0])
-        t = rotated.reshape((2,) * n)
-        t = np.moveaxis(t, qubits, range(r))
+    if state.ndim not in (1, 2):
+        raise ValueError("state must be a vector or a square matrix")
+    n = n_qubits_of(state.shape[0])
+    # measured qubits lead, the rest follow in order; a density operator
+    # permutes its column qubits the same way
+    perm = qubits + [q for q in range(n) if q not in qubits]
+    if state.ndim == 2:
+        perm += [n + q for q in perm]
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    # Rotate the measured qubits into the computational frame, sample there,
+    # collapse, then rotate back. H is self-inverse so the same rotation undoes.
+    t = _rotate_theta(state, n, qubits, theta).reshape((2,) * len(perm)).transpose(perm)
+    if state.ndim == 1:
         block = t.reshape(1 << r, -1)
         probs = np.abs(block) ** 2
-        probs = np.clip(probs.sum(axis=1).real, 0.0, None)
+        probs = np.maximum(probs.sum(axis=1).real, 0.0)
         probs = probs / probs.sum()
         x = int(rng.choice(1 << r, p=probs))
         post = np.zeros_like(block)
         post[x] = block[x] / np.sqrt(probs[x])
-        t = post.reshape((2,) * n)
-        t = np.moveaxis(t, range(r), qubits)
-        out = _rotate_theta(t.reshape(-1), qubits, theta)
-        return int_to_bits(x, r), out
-    if rotated.ndim == 2:
-        n = n_qubits_of(rotated.shape[0])
-        t = rotated.reshape((2,) * (2 * n))
-        src = qubits + [n + q for q in qubits]
-        dst = list(range(r)) + list(range(n, n + r))
-        t = np.moveaxis(t, src, dst)
+    else:
         blk = t.reshape(1 << r, 1 << (n - r), 1 << r, 1 << (n - r))
-        probs = np.clip(np.einsum("xixi->x", blk).real, 0.0, None)
+        probs = np.maximum(np.einsum("xixi->x", blk).real, 0.0)
         probs = probs / probs.sum()
         x = int(rng.choice(1 << r, p=probs))
         post = np.zeros_like(blk)
         post[x, :, x, :] = blk[x, :, x, :] / probs[x]
-        t = post.reshape((2,) * (2 * n))
-        t = np.moveaxis(t, dst, src)
-        out = _rotate_theta(t.reshape(1 << n, 1 << n), qubits, theta)
-        return int_to_bits(x, r), out
-    raise ValueError("state must be a vector or a square matrix")
+    t = post.reshape((2,) * len(perm)).transpose(inverse).reshape(state.shape)
+    return int_to_bits(x, r), _rotate_theta(t, n, qubits, theta)
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -27,6 +27,8 @@ full-rank and pure, up to dimension 16, and one of 64 labels on a qubit.
 The ``*_transcript.json`` files pin one protocol transcript each, the bytes
 ``moeqkd ... --dump-transcript`` writes: Eve's state ``rho_e`` is kept in full
 there, so they see float changes in the protocol path that the records hide.
+The swap transcripts measure state vectors; the measure_resend one sends a
+density operator through both measurements.
 """
 
 import os
@@ -88,6 +90,8 @@ TRANSCRIPTS = {
                                                     adversary="swap_epr", n=2),
     "two_round_swap_epr_sub0_n2_transcript.json": dict(experiment="two-round",
                                                        adversary="swap_epr_sub0", n=2, m=1),
+    "niqkd_toydh_measure_resend_n2_transcript.json": dict(experiment="niqkd", scheme="toydh",
+                                                          adversary="measure_resend", n=2),
 }
 
 

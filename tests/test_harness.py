@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,3 +277,19 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+def _module_roots(code: str) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    probe = code + "; import sys; print(' '.join({m.split('.')[0] for m in sys.modules}))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    return set(proc.stdout.split())
+
+
+def test_cli_import_loads_only_stdlib_numpy_and_moeqkd():
+    # site hooks load at interpreter start, so compare against a bare start
+    bare = _module_roots("pass")
+    extra = _module_roots("import moeqkd.cli") - bare
+    assert "moeqkd" in extra
+    assert extra - set(sys.stdlib_module_names) <= {"numpy", "moeqkd"}

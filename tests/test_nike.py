@@ -85,6 +85,21 @@ def test_ideal_public_tuple_is_opaque():
         other.sdk(IDENTITY_B, pk_b, IDENTITY_A, sk_fake)
 
 
+def test_ideal_masters_stay_within_cap():
+    scheme = IdealNike(3)
+    rng = np.random.default_rng(33)
+    first = scheme.setup(rng)
+    for _ in range(10_000):
+        pp = scheme.setup(rng)
+        assert len(scheme._masters) <= IdealNike.MAX_MASTERS
+    sk_a, pk_a = scheme.gen(pp, IDENTITY_A, rng)
+    sk_b, pk_b = scheme.gen(pp, IDENTITY_B, rng)
+    theta = scheme.sdk(IDENTITY_B, pk_b, IDENTITY_A, sk_a)
+    assert theta is not None and theta == scheme.sdk(IDENTITY_A, pk_a, IDENTITY_B, sk_b)
+    with pytest.raises(ValueError, match="unknown public parameters"):
+        scheme.gen(first, IDENTITY_A, rng)
+
+
 def test_toydh_theta_recomputable_from_logged_randomness():
     scheme = ToyDhNike(3)
     seed = 555

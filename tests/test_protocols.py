@@ -380,6 +380,11 @@ def test_everlasting_report_swap_route():
     assert d_a <= 0.5
 
 
+def test_swap_distance_is_pinned_bit_for_bit():
+    # the benchmark pins these floats as everlasting_dist_a / _b
+    assert _swap_distance(1, 1) == (0.3123624090939296, 0.3123624090939332)
+
+
 def test_everlasting_report_route_errors():
     rng = np.random.default_rng(33)
     with pytest.raises(ValueError):

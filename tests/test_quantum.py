@@ -339,6 +339,78 @@ def test_measurement_marginals_match_born_rule():
     assert np.abs(counts / trials - probs).max() < 0.035
 
 
+def _rotate_reference(state, qubits, theta):
+    """H on each theta-1 qubit by the per-qubit tensordot/moveaxis route."""
+    h = q.HADAMARD
+    for qb, tb in zip(qubits, theta):
+        if not tb:
+            continue
+        n = q.n_qubits_of(state.shape[0])
+        t = state.reshape((2,) * (state.ndim * n))
+        t = np.moveaxis(np.tensordot(h, t, axes=([1], [qb])), 0, qb)
+        if state.ndim == 2:
+            t = np.tensordot(t, h.conj().T, axes=([n + qb], [0]))
+            t = np.moveaxis(t, -1, n + qb)
+        state = t.reshape(state.shape)
+    return state
+
+
+def measure_reference(state, qubits, theta, rng):
+    """The theta measurement written with per-qubit tensordot and moveaxis."""
+    r = len(qubits)
+    rotated = _rotate_reference(state, qubits, theta)
+    n = q.n_qubits_of(state.shape[0])
+    if state.ndim == 1:
+        t = np.moveaxis(rotated.reshape((2,) * n), qubits, range(r))
+        block = t.reshape(1 << r, -1)
+        probs = np.clip((np.abs(block) ** 2).sum(axis=1).real, 0.0, None)
+        probs = probs / probs.sum()
+        x = int(rng.choice(1 << r, p=probs))
+        post = np.zeros_like(block)
+        post[x] = block[x] / np.sqrt(probs[x])
+        t = np.moveaxis(post.reshape((2,) * n), range(r), qubits)
+    else:
+        src = qubits + [n + qb for qb in qubits]
+        dst = list(range(r)) + list(range(n, n + r))
+        t = np.moveaxis(rotated.reshape((2,) * (2 * n)), src, dst)
+        blk = t.reshape(1 << r, 1 << (n - r), 1 << r, 1 << (n - r))
+        probs = np.clip(np.einsum("xixi->x", blk).real, 0.0, None)
+        probs = probs / probs.sum()
+        x = int(rng.choice(1 << r, p=probs))
+        post = np.zeros_like(blk)
+        post[x, :, x, :] = blk[x, :, x, :] / probs[x]
+        t = np.moveaxis(post.reshape((2,) * (2 * n)), dst, src)
+    return q.int_to_bits(x, r), _rotate_reference(t.reshape(state.shape), qubits, theta)
+
+
+@st.composite
+def measurement_cases(draw):
+    density = draw(st.booleans())
+    n = draw(st.integers(1, 4 if density else 5))
+    qubits = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    theta = tuple(draw(st.lists(st.integers(0, 1), min_size=len(qubits), max_size=len(qubits))))
+    kind = draw(st.sampled_from(["pure", "mixed"] if density else ["pure"]))
+    return density, n, qubits, theta, kind, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(measurement_cases())
+def test_measurement_is_bytewise_the_per_qubit_reference(case):
+    density, n, qubits, theta, kind, seed = case
+    rng = np.random.default_rng(seed)
+    if kind == "mixed":
+        state = q.random_density_operator(1 << n, rng)
+    else:
+        state = q.haar_state(1 << n, rng)
+        if density:
+            state = np.outer(state, state.conj())
+    bits, post = q.measure_in_theta_basis(state, qubits, theta, np.random.default_rng(seed))
+    ref_bits, ref_post = measure_reference(state, qubits, theta, np.random.default_rng(seed))
+    assert bits == ref_bits
+    # tobytes, not array_equal: a zero's sign must match too
+    assert post.shape == ref_post.shape and post.tobytes() == ref_post.tobytes()
+
+
 def test_random_povm_is_valid():
     rng = np.random.default_rng(41)
     povm = q.random_povm(6, 4, rng)

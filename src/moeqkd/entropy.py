@@ -11,8 +11,9 @@ Two labels have the Helstrom optimum in closed form: with
 Delta = p_0 rho_0 - p_1 rho_1, the projector onto Delta's positive part and
 the dual sigma = p_1 rho_1 + Delta_+ meet up to rounding. More labels run a
 fixed-point ascent over one (k, d, d) stack of POVM elements, seeded by the
-pretty-good measurement. When its first bracket misses the gap, a longer
-ascent runs and the dual also tries sigma_0 + sum_x (p_x rho_x - sigma_0)_+.
+pretty-good measurement. When its first bracket misses DEFAULT_GAP, a longer
+ascent runs and the dual also tries sigma_0 + sum_x (p_x rho_x - sigma_0)_+;
+the ascent takes at most ITERATION_CAP steps in all.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .quantum import partial_trace, trace_norm_hermitian
 
 MAX_DIM = 64
 DEFAULT_GAP = 1e-6
+ITERATION_CAP = 100_000
 CERT_ATOL = 1e-9  # how much certificate infeasibility we tolerate when re-verifying
 
 
@@ -101,14 +103,14 @@ class GuessBracket:
         return self.upper - self.lower
 
 
-def assert_povm(povm: Sequence[np.ndarray], dim: int, atol: float = CERT_ATOL) -> None:
+def assert_povm(povm: Sequence[np.ndarray], dim: int) -> None:
     """Raise unless the elements are PSD and sum to the identity."""
     total = np.zeros((dim, dim), dtype=np.complex128)
     for e in povm:
         e = np.asarray(e)
         if e.shape != (dim, dim):
             raise ValueError("POVM element shape mismatch")
-        if float(np.linalg.eigvalsh(0.5 * (e + e.conj().T)).min()) < -atol:
+        if float(np.linalg.eigvalsh(0.5 * (e + e.conj().T)).min()) < -CERT_ATOL:
             raise ValueError("POVM element not positive semidefinite")
         total = total + e
     if np.abs(total - np.eye(dim)).max() > 1e-7:
@@ -246,7 +248,7 @@ def _helstrom_certificates(weighted: Sequence[np.ndarray]) -> tuple[list[np.ndar
     return povm, _feasible_dual(weighted, sigma)
 
 
-def pguess(ensemble: CqEnsemble, gap: float = DEFAULT_GAP, iteration_cap: int = 100_000) -> GuessBracket:
+def pguess(ensemble: CqEnsemble) -> GuessBracket:
     """Certified bracket on the optimal guessing probability of the label.
 
     Two labels: Helstrom's projector onto the positive part of
@@ -254,9 +256,9 @@ def pguess(ensemble: CqEnsemble, gap: float = DEFAULT_GAP, iteration_cap: int = 
     iterations. More labels: a feasible POVM seeded by the pretty-good
     measurement and improved by a stacked fixed-point ascent, with the
     iterate made dual-feasible by an identity shift. When that bracket is
-    wider than ``gap``, a longer ascent runs and the smaller-trace dual of
-    the shifted and the positive-part candidates is kept. Every certificate
-    is re-verified in numpy.
+    wider than ``DEFAULT_GAP``, a longer ascent runs and the smaller-trace
+    dual of the shifted and the positive-part candidates is kept. Every
+    certificate is re-verified in numpy.
     """
     weighted = ensemble.weighted()
     dim = ensemble.dim
@@ -266,38 +268,36 @@ def pguess(ensemble: CqEnsemble, gap: float = DEFAULT_GAP, iteration_cap: int = 
     if len(weighted) == 2:
         povm, sigma = _helstrom_certificates(weighted)
         lower, upper = _verify_certificates(weighted, povm, sigma)
-        return GuessBracket(lower, upper, povm, sigma, upper - lower <= gap, 0)
+        return GuessBracket(lower, upper, povm, sigma, upper - lower <= DEFAULT_GAP, 0)
 
     povm = _pgm(weighted)
     iters_used = 0
     # cheap route first: ascent plus the shifted-iterate dual certificate
-    povm, used = _ascend(weighted, povm, min(400, iteration_cap))
+    povm, used = _ascend(weighted, povm, min(400, ITERATION_CAP))
     iters_used += used
     povm = _repair_povm(povm)
     sigma = _feasible_dual(weighted, _dual_from_povm(weighted, povm))
     lower, upper = _verify_certificates(weighted, povm, sigma)
 
-    if upper - lower > gap:
+    if upper - lower > DEFAULT_GAP:
         # longer ascent, kept only where it improves either certificate
-        remaining = max(iteration_cap - iters_used, 0)
-        if remaining:
-            raw, used = _ascend(weighted, povm, min(2000, remaining))
-            iters_used += used
-            raw = _repair_povm(raw)
-            if _primal_value(weighted, raw) > _primal_value(weighted, povm):
-                povm = raw
+        raw, used = _ascend(weighted, povm, min(2000, ITERATION_CAP - iters_used))
+        iters_used += used
+        raw = _repair_povm(raw)
+        if _primal_value(weighted, raw) > _primal_value(weighted, povm):
+            povm = raw
         candidates = (_dual_from_povm(weighted, povm), _positive_part_dual(weighted, povm))
         # min keeps the first of equal traces, so a tie keeps the earlier dual
         sigma = min([sigma, *(_feasible_dual(weighted, c) for c in candidates)],
                     key=lambda s: float(np.trace(s).real))
         lower, upper = _verify_certificates(weighted, povm, sigma)
 
-    return GuessBracket(lower, upper, povm, sigma, upper - lower <= gap, iters_used)
+    return GuessBracket(lower, upper, povm, sigma, upper - lower <= DEFAULT_GAP, iters_used)
 
 
-def hmin(ensemble: CqEnsemble, gap: float = DEFAULT_GAP) -> tuple[float, float]:
+def hmin(ensemble: CqEnsemble) -> tuple[float, float]:
     """Bracket [lower, upper] on H_min(X|B) = -log2 p_guess."""
-    b = pguess(ensemble, gap=gap)
+    b = pguess(ensemble)
     return -log2(b.upper), -log2(b.lower)
 
 
@@ -320,7 +320,7 @@ class ChainRuleResult:
     z_dim: int
 
 
-def chain_rule_check(ensemble_bz: CqEnsemble, z_dim: int, gap: float = DEFAULT_GAP) -> ChainRuleResult:
+def chain_rule_check(ensemble_bz: CqEnsemble, z_dim: int) -> ChainRuleResult:
     """Certified check that conditioning on a |Z|-dimensional extra register
     costs at most log2|Z| bits of min-entropy.
 
@@ -330,9 +330,9 @@ def chain_rule_check(ensemble_bz: CqEnsemble, z_dim: int, gap: float = DEFAULT_G
     if z_dim < 1 or ensemble_bz.dim % z_dim != 0:
         raise ValueError("z_dim must divide the side-information dimension")
     b_dim = ensemble_bz.dim // z_dim
-    lhs = hmin(ensemble_bz, gap=gap)
+    lhs = hmin(ensemble_bz)
     reduced = ensemble_bz.trace_out_last_factor(b_dim, z_dim)
-    rhs = hmin(reduced, gap=gap)
+    rhs = hmin(reduced)
     budget = log2(z_dim)
     slack = 1e-9
     if lhs[0] >= rhs[1] - budget - slack:

@@ -78,15 +78,28 @@ class RunConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; choose from {', '.join(EXPERIMENT_NAMES)}"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+        # values may come from a JSON config file, so types are checked here
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        for name in ("scheme", "strategy", "adversary", "kind", "format"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError("out must be a string")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
         for name in ("n", "s", "m", "r", "trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.tol is not None and self.tol <= 0:
-            raise ValueError("tolerance override must be positive")
+            if not _is_int(getattr(self, name)) or getattr(self, name) < 1:
+                raise ValueError(f"{name} must be an integer of at least 1")
+        if not isinstance(self.exact, bool):
+            raise ValueError("exact must be true or false")
+        if self.tol is not None and (not isinstance(self.tol, (int, float))
+                                     or isinstance(self.tol, bool) or self.tol <= 0):
+            raise ValueError("tolerance override must be a positive number")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

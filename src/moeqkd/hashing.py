@@ -282,16 +282,15 @@ class CrHash:
 
 
 class CrHashFamily:
-    """Keyed compressing hash family backed by a standard digest. Collision
-    resistance is an interface assumption here, not a proven property of the
-    toy key sizes."""
+    """Keyed compressing hash family backed by a standard digest; each member
+    is keyed by 16 random bytes. Collision resistance is an interface
+    assumption here, not a proven property of the toy key sizes."""
 
-    def __init__(self, input_bits: int, output_bits: int, key_bytes: int = 16):
+    def __init__(self, input_bits: int, output_bits: int):
         self.input_bits = int(input_bits)
         self.output_bits = int(output_bits)
-        self.key_bytes = int(key_bytes)
 
     def sample(self, rng: np.random.Generator) -> CrHash:
-        key = rng.integers(0, 256, self.key_bytes).astype(np.uint8).tobytes()
+        key = rng.integers(0, 256, 16).astype(np.uint8).tobytes()
         return CrHash(key, self.input_bits, self.output_bits)
 

@@ -6,9 +6,9 @@ experiments need:
 
   IdealNike   theta is drawn by a trusted sampler and is statistically
               independent of everything public.
-  ToyDhNike   Diffie-Hellman over a small prime field; theta is hidden from a
-              bounded observer but fully recoverable by brute-force discrete
-              log (see break_toy_dh).
+  ToyDhNike   Diffie-Hellman modulo TOY_DH_PRIME = 65537; theta is hidden
+              from a bounded observer but fully recoverable by brute-force
+              discrete log (see break_toy_dh).
   BrokenNike  theta is printed inside the public parameters; used to show
               what fails when the public view determines the basis.
 
@@ -98,25 +98,24 @@ class IdealNike:
 
 
 class ToyDhNike:
-    """Diffie-Hellman over GF(prime); the shared group element is expanded to
-    n bits by a universal hash whose seed is published in pp."""
+    """Diffie-Hellman over GF(TOY_DH_PRIME) with generator TOY_DH_GENERATOR;
+    the shared group element is expanded to n bits by a universal hash whose
+    seed is published in pp."""
 
     name = "toydh"
 
-    def __init__(self, n: int, prime: int = TOY_DH_PRIME, generator: int = TOY_DH_GENERATOR):
+    def __init__(self, n: int):
         if not 1 <= n <= TOY_DH_SECRET_BITS:
             raise ValueError("key length exceeds the secret width")
         self.n = n
-        self.prime = prime
-        self.generator = generator
 
     def setup(self, rng: np.random.Generator) -> tuple:
         a, b = uh_sample_seed(TOY_DH_SECRET_BITS, rng)
-        return ("toydh", self.n, self.prime, self.generator, a, b)
+        return ("toydh", self.n, TOY_DH_PRIME, TOY_DH_GENERATOR, a, b)
 
     def gen(self, pp: tuple, identity: str, rng: np.random.Generator) -> tuple[tuple, int]:
-        x = int(rng.integers(1, self.prime - 1))
-        pk = pow(self.generator, x, self.prime)
+        x = int(rng.integers(1, TOY_DH_PRIME - 1))
+        pk = pow(TOY_DH_GENERATOR, x, TOY_DH_PRIME)
         return (pp, x), pk
 
     def sdk(self, their_id: str, their_pk: int, my_id: str, my_sk: tuple) -> tuple[int, ...] | None:

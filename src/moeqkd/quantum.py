@@ -67,7 +67,7 @@ def n_qubits_of(dim: int) -> int:
     return n
 
 
-def assert_density_operator(rho: np.ndarray, atol: float = ATOL_EIG) -> int:
+def assert_density_operator(rho: np.ndarray) -> int:
     """Validate a density operator (hermitian, PSD, unit trace); returns qubit count."""
     rho = np.asarray(rho)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -75,12 +75,12 @@ def assert_density_operator(rho: np.ndarray, atol: float = ATOL_EIG) -> int:
     n = n_qubits_of(rho.shape[0])
     if n > MAX_DENSITY_QUBITS:
         raise ValueError(f"density operator on {n} qubits exceeds the {MAX_DENSITY_QUBITS}-qubit cap")
-    if not np.allclose(rho, rho.conj().T, atol=atol):
+    if not np.allclose(rho, rho.conj().T, atol=ATOL_EIG):
         raise ValueError("density operator not hermitian")
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > ATOL_NORM:
         raise ValueError(f"density operator trace {tr} != 1")
-    if float(np.linalg.eigvalsh(rho).min()) < -atol:
+    if float(np.linalg.eigvalsh(rho).min()) < -ATOL_EIG:
         raise ValueError("density operator not positive semidefinite")
     return n
 
@@ -136,18 +136,18 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * trace_norm_hermitian(diff)
 
 
-def operator_leq(a: np.ndarray, b: np.ndarray, atol: float = ATOL_EIG) -> tuple[bool, float]:
+def operator_leq(a: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
     """Check a <= b in the semidefinite order.
 
     Returns (holds, witness) where the witness is the smallest eigenvalue of
-    b - a; the inequality is accepted when the witness is >= -atol.
+    b - a; the inequality is accepted when the witness is >= -ATOL_EIG.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape or a.ndim != 2:
         raise ValueError("operator_leq expects two equal-shape square matrices")
     witness = float(np.linalg.eigvalsh(b - a).min())
-    return witness >= -atol, witness
+    return witness >= -ATOL_EIG, witness
 
 
 def operator_union_bound_witness(projectors: Sequence[np.ndarray]) -> float:

@@ -1,3 +1,6 @@
+import ast
+import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -58,6 +61,12 @@ def test_config_validation():
         RunConfig("moe", seed=1, trials=0)
     with pytest.raises(ValueError, match="tolerance"):
         RunConfig("moe", seed=1, tol=0.0)
+    # mistyped values, as a JSON config file can carry them
+    for key, value in [("trials", 10.5), ("n", "2"), ("r", True), ("exact", "no"),
+                       ("exact", 1), ("tol", "x"), ("tol", True), ("scheme", 3),
+                       ("out", 1)]:
+        with pytest.raises(ValueError, match=key if key != "tol" else "tolerance"):
+            RunConfig("moe", seed=1, **{key: value})
 
 
 def test_record_serialization_shape():
@@ -231,6 +240,13 @@ def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
     cfgfile.write_text('{"seed": 1, "bogus": 2}')
     assert main(["moe", "--config", str(cfgfile)]) == 2
     assert "bogus" in capsys.readouterr().err
+    # mistyped values are usage errors too, not a traceback or a silent run
+    for text, word in [('{"seed": 1, "trials": 10.5}', "trials"), ('{"seed": 1, "n": "2"}', "n"),
+                       ('{"seed": 1, "tol": "x"}', "tolerance"),
+                       ('{"seed": 1, "exact": "no"}', "exact")]:
+        cfgfile.write_text(text)
+        assert main(["moe", "--config", str(cfgfile)]) == 2
+        assert word in capsys.readouterr().err
 
 
 def test_cli_out_file_identical_across_runs(tmp_path, capsys):
@@ -293,3 +309,23 @@ def test_cli_import_loads_only_stdlib_numpy_and_moeqkd():
     extra = _module_roots("import moeqkd.cli") - bare
     assert "moeqkd" in extra
     assert extra - set(sys.stdlib_module_names) <= {"numpy", "moeqkd"}
+
+
+def test_benchmark_hooks_resolve():
+    # perfbench/run.py --trace 1 wraps these attributes and reads these
+    # result fields; a rename or deletion here fails before the benchmark does
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "run.py").read_text())
+    hooks = {node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+             if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+             and node.targets[0].id in ("SPANS", "COUNTERS", "OBSERVERS")}
+    assert sorted(hooks) == ["COUNTERS", "OBSERVERS", "SPANS"]
+    for module, attr, _ in [hook for group in hooks.values() for hook in group]:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), (module, attr)
+    from moeqkd.entropy import GuessBracket
+    from moeqkd.nogo import NogoRate
+    for cls, names in [(GuessBracket, {"iterations", "converged", "gap"}),
+                       (NogoRate, {"failures", "rate", "trials"})]:
+        assert names <= {f.name for f in dataclasses.fields(cls)} | set(dir(cls)), cls

@@ -138,10 +138,8 @@ def test_break_toy_dh_rejects_foreign_tuples():
     z = sample_z(IdealNike(2), rng)
     with pytest.raises(ValueError):
         break_toy_dh(z.p)
-    big = ToyDhNike(2)
-    big.prime = (1 << 20) + 7
     with pytest.raises(ValueError, match="prime too large"):
-        break_toy_dh((("toydh", 2, big.prime, 3, 1, 0), 3, 9))
+        break_toy_dh((("toydh", 2, (1 << 20) + 7, 3, 1, 0), 3, 9))
 
 
 def test_broken_scheme_exposes_theta():

@@ -40,6 +40,25 @@ def intercepted_run(proto, rng):
     return r_a, r_b, k_a, state
 
 
+def members(kf, state, side):
+    """The candidate set by its definition, over all 2^r coins."""
+    return [c for c in range(2**kf.r) if gamma_membership(kf, state, side, c)]
+
+
+def table_twin(kf):
+    """The same affine map as a lookup table, so the attack enumerates it.
+
+    Affine means f(x, y) = f(x, 0) ^ f(0, y) ^ f(0, 0), so 2^(r+1) calls of
+    ``kf.value`` fill all 2^r x 2^r entries.
+    """
+    coins = range(2**kf.r)
+    left = np.array([kf.value(x, 0) for x in coins], dtype=np.uint8)
+    right = np.array([kf.value(0, y) for y in coins], dtype=np.uint8)
+    table = left[:, None] ^ right[None, :] ^ np.uint8(kf.value(0, 0))
+    assert all(table[x, y] == kf.value(x, y) for x, y in zip(coins[::3], coins[1::5]))
+    return nogo.KeyFunction("table", kf.r, kf.m, table=table)
+
+
 def test_honest_runs_reproduce_key_from_logged_randomness():
     rng = np.random.default_rng(40)
     protos = [
@@ -96,15 +115,11 @@ def test_candidate_sets_contain_the_real_coins():
         for _ in range(30):
             r_a, r_b, key, state = intercepted_run(proto, rng)
             guess = eve_offline(proto, state, rng)
-            assert gamma_membership(proto.key_function, state, "a", r_a)
-            assert gamma_membership(proto.key_function, state, "b", r_b)
-            if isinstance(state.gamma_a, np.ndarray):
-                assert r_a in state.gamma_a
-                assert r_b in state.gamma_b
-            else:
-                assert state.gamma_a(r_a) and state.gamma_b(r_b)
-            assert gamma_membership(proto.key_function, state, "a", state.r_star_a)
-            assert gamma_membership(proto.key_function, state, "b", state.r_star_b)
+            gamma_a = members(proto.key_function, state, "a")
+            gamma_b = members(proto.key_function, state, "b")
+            assert r_a in gamma_a and r_b in gamma_b
+            assert state.r_star_a in gamma_a
+            assert state.r_star_b == gamma_b[0]
             assert guess == key
 
 
@@ -116,9 +131,10 @@ def test_full_rank_linear_map_pins_both_coins():
     proto = ClassicalKeyProtocol(affine_key_function(r, r, cols, cols))
     for _ in range(50):
         r_a, r_b, key, state = intercepted_run(proto, rng)
-        guess = eve_offline(proto, state, rng, method="enumeration")
-        assert state.gamma_a.tolist() == [r_a]
-        assert state.gamma_b.tolist() == [r_b]
+        guess = eve_offline(proto, state, rng)
+        assert members(proto.key_function, state, "a") == [r_a]
+        assert members(proto.key_function, state, "b") == [r_b]
+        assert (state.r_star_a, state.r_star_b) == (r_a, r_b)
         assert guess == key
     res = attack_success_rate(proto, 50, rng)
     assert res.rate == 1.0
@@ -129,9 +145,9 @@ def test_constant_function_leaves_full_candidate_space():
     kf = affine_key_function(6, 2, [0] * 6, [0] * 6, const=3)
     proto = ClassicalKeyProtocol(kf)
     _, _, key, state = intercepted_run(proto, rng)
-    guess = eve_offline(proto, state, rng, method="enumeration")
+    guess = eve_offline(proto, state, rng)
     assert key == 3 and guess == 3
-    assert state.gamma_a.size == 64
+    assert members(kf, state, "a") == members(kf, state, "b") == list(range(64))
     res = attack_success_rate(proto, 50, rng)
     assert res.rate == 1.0
 
@@ -171,12 +187,16 @@ def test_r_star_a_uniform_over_candidate_set():
     proto = ClassicalKeyProtocol(xor_trunc_key_function(6, 1), t_samples=1)
     assert proto.probes == 1
     _, _, _, state = intercepted_run(proto, rng)
-    for method in ("enumeration", "affine"):
+    gamma_a = members(proto.key_function, state, "a")
+    assert len(gamma_a) == 32
+    twin = replace(proto, key_function=table_twin(proto.key_function))
+    for p, method in ((twin, "enumeration"), (proto, "affine")):
         counts = {}
         for _ in range(6400):
-            eve_offline(proto, state, rng, method=method)
+            eve_offline(p, state, rng)
             counts[state.r_star_a] = counts.get(state.r_star_a, 0) + 1
-        assert len(counts) == 32
+        assert state.method == method
+        assert sorted(counts) == gamma_a
         chi2 = sum((c - 200) ** 2 / 200 for c in counts.values())
         assert chi2 <= CHI2_CRIT_31DOF
 
@@ -189,36 +209,13 @@ def test_lex_min_agrees_with_enumeration():
         kf = affine_key_function(8, 2, cols_a, cols_b, const=int(rng.integers(0, 4)))
         proto = ClassicalKeyProtocol(kf)
         _, _, key, state = intercepted_run(proto, rng)
-        eve_offline(proto, state, rng, method="enumeration")
+        eve_offline(ClassicalKeyProtocol(table_twin(kf)), state, rng)
+        assert state.method == "enumeration"
         by_enum = state.r_star_b
-        eve_offline(proto, state, rng, method="affine")
-        assert state.r_star_b == by_enum
+        eve_offline(proto, state, rng)
+        assert state.method == "affine"
+        assert state.r_star_b == by_enum == members(kf, state, "b")[0]
         assert state.guess == key
-
-
-def test_rejection_path_finds_members_when_dense():
-    rng = np.random.default_rng(51)
-    proto = ClassicalKeyProtocol(xor_trunc_key_function(6, 1), t_samples=1)
-    _, _, key, state = intercepted_run(proto, rng)
-    guess = eve_offline(proto, state, rng, method="rejection")
-    assert state.method == "rejection" and not state.failed
-    assert gamma_membership(proto.key_function, state, "a", state.r_star_a)
-    assert gamma_membership(proto.key_function, state, "b", state.r_star_b)
-    assert guess == key
-
-
-def test_rejection_path_flags_exhaustion(monkeypatch):
-    # identity-width xor keys make the candidate sets singletons in a 2^24
-    # space; the capped sampler cannot find them
-    monkeypatch.setattr(nogo, "REJECTION_CAP", 5000)
-    rng = np.random.default_rng(52)
-    proto = ClassicalKeyProtocol(xor_trunc_key_function(24, 24))
-    _, _, _, state = intercepted_run(proto, rng)
-    guess = eve_offline(proto, state, rng, method="rejection")
-    assert guess is None
-    assert state.failed
-    rate = attack_success_rate(proto, 3, rng, method="rejection")
-    assert rate.rate == 0.0 and rate.failures == 3
 
 
 def test_key_function_validation():
@@ -417,7 +414,7 @@ def test_closed_form_offline_matches_row_reduction(case):
     assert sys_a is not None and sys_b is not None
     assert sorted(sys_a.pivots) == sorted(kf.echelon_a.top)
     closed_rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    guess = eve_offline(proto, state, closed_rng, method="affine")
+    guess = eve_offline(proto, state, closed_rng)
     assert state.r_star_a == sys_a.sample_uniform(oracle_rng)
     assert state.r_star_b == sys_b.lex_min()
     assert closed_rng.integers(0, 2**32) == oracle_rng.integers(0, 2**32)
@@ -439,7 +436,8 @@ def rank2_key_function(rng):
 @pytest.mark.parametrize("method", ["affine", "enumeration"])
 def test_tampered_observations_are_rejected(method):
     rng = np.random.default_rng(56)
-    proto = ClassicalKeyProtocol(rank2_key_function(rng))
+    kf = rank2_key_function(rng)
+    proto = ClassicalKeyProtocol(kf if method == "affine" else table_twin(kf))
     _, _, key, state = intercepted_run(proto, rng)
     tampered = [
         replace(state, alphas=(state.alphas[0] ^ 1,) + state.alphas[1:]),
@@ -451,5 +449,6 @@ def test_tampered_observations_are_rejected(method):
     ]
     for bad in tampered:
         with pytest.raises(AssertionError, match="real run"):
-            eve_offline(proto, bad, rng, method=method)
-    assert eve_offline(proto, state, rng, method=method) == key
+            eve_offline(proto, bad, rng)
+    assert eve_offline(proto, state, rng) == key
+    assert state.method == method

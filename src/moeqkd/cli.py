@@ -1,8 +1,10 @@
 """Command line front end.
 
-Usage is ``moeqkd <experiment> [--flags]``. Flags may also be supplied as a
-JSON object via --config; explicit flags win over file values. The exit code
-is 0 only when every emitted record passed its own assertion.
+Usage is ``moeqkd <experiment> [--flags]``; each experiment takes only the
+flags of the parameters it reads (``harness.PARAMETERS``), spelled in full.
+Flags may also be supplied as a JSON object via --config; explicit flags win
+over file values. The exit code is 0 only when every emitted record passed its
+own assertion.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ import time
 from pathlib import Path
 
 from .harness import (
-    EXPERIMENT_NAMES,
     FORMATS,
+    PARAMETERS,
+    TRANSCRIPT_EXPERIMENTS,
     RunConfig,
     records_to_csv,
     records_to_json,
@@ -32,9 +35,9 @@ _HELP = {
     "entropy": "certified guessing-probability machinery checks",
 }
 
-# keys a --config file may set; flags given on the command line win
-_CONFIG_KEYS = ("seed", "scheme", "strategy", "adversary", "kind", "n", "s",
-                "m", "r", "trials", "exact", "tol", "out", "format")
+_FLAG_HELP = {"n": "key length in bits", "m": "digest length in bits",
+              "r": "local-coin length in bits", "exact": "enumerate instead of sampling",
+              "tol": "tolerance override"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,39 +45,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="moeqkd",
         description="Deterministic experiment runner; every row reproduces "
                     "bit for bit from the master seed.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
-    for name in EXPERIMENT_NAMES:
-        sp = sub.add_parser(name, help=_HELP[name])
-        sp.add_argument("--seed", type=int, default=None,
-                        help="master seed (required here or in --config)")
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("--n", type=int, default=None, help="key length in bits")
-        sp.add_argument("--s", type=int, default=None, help="block size")
-        sp.add_argument("--m", type=int, default=None, help="digest length in bits")
-        sp.add_argument("--r", type=int, default=None, help="local-coin length in bits")
-        sp.add_argument("--scheme", default=None, choices=("ideal", "toydh", "broken"))
-        sp.add_argument("--strategy", default=None,
-                        help="moe: honest, intercept, basis_reading, random")
-        sp.add_argument("--adversary", default=None,
-                        help="niqkd/two-round: none, identity, entangling_relay, "
-                             "measure_resend, swap_epr, swap_epr_sub0")
-        sp.add_argument("--kind", default=None,
-                        help="nogo: xor_trunc, affine_hash, table")
-        sp.add_argument("--exact", action=argparse.BooleanOptionalAction, default=None,
-                        help="enumerate instead of sampling (moe)")
-        sp.add_argument("--tol", type=float, default=None, help="tolerance override")
-        sp.add_argument("--out", default=None, help="write records to this path")
-        sp.add_argument("--format", default=None, choices=FORMATS)
-        sp.add_argument("--config", default=None,
-                        help="JSON file of flag values; explicit flags win")
-        sp.add_argument("--dump-transcript", default=None, metavar="PATH",
-                        help="also write one protocol transcript as JSON "
-                             "(niqkd and two-round only)")
+    for name, params in PARAMETERS.items():
+        sp = sub.add_parser(name, help=_HELP[name], allow_abbrev=False)
+        sp.add_argument("--seed", type=int, help="master seed (required here or in --config)")
+        for key, spec in params.items():
+            kind = (dict(action=argparse.BooleanOptionalAction) if spec is bool
+                    else dict(choices=spec) if isinstance(spec, tuple) else dict(type=spec))
+            sp.add_argument(f"--{key}", help=_FLAG_HELP.get(key), **kind)
+        sp.add_argument("--out", help="write records to this path")
+        sp.add_argument("--format", choices=FORMATS)
+        sp.add_argument("--config", help="JSON file of flag values; explicit flags win")
+        if name in TRANSCRIPT_EXPERIMENTS:
+            sp.add_argument("--dump-transcript", metavar="PATH",
+                            help="also write one protocol transcript as JSON")
     return parser
 
 
 def _merge_config(ns: argparse.Namespace) -> RunConfig:
+    keys = ("seed", *PARAMETERS[ns.experiment], "out", "format")
     file_vals: dict = {}
     if ns.config is not None:
         try:
@@ -83,11 +74,11 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
             raise ValueError(f"cannot read config file {ns.config}: {exc}") from exc
         if not isinstance(file_vals, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(file_vals) - set(_CONFIG_KEYS))
+        unknown = sorted(set(file_vals) - set(keys))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     merged = {}
-    for key in _CONFIG_KEYS:
+    for key in keys:
         value = getattr(ns, key)
         if value is None and key in file_vals:
             value = file_vals[key]
@@ -105,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         start = time.perf_counter()
         records = run(cfg)
         elapsed = time.perf_counter() - start
-        if ns.dump_transcript is not None:
+        if getattr(ns, "dump_transcript", None) is not None:
             Path(ns.dump_transcript).write_text(sample_transcript(cfg) + "\n")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

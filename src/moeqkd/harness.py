@@ -10,7 +10,8 @@ same-seed runs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,8 +43,8 @@ from .protocols import (
 )
 from . import quantum as q
 
-EXPERIMENT_NAMES = ("lemmas", "moe", "niqkd", "two-round", "nogo", "entropy")
 FORMATS = ("csv", "json")
+TRANSCRIPT_EXPERIMENTS = ("niqkd", "two-round")
 CSV_COLUMNS = (
     "experiment", "seed", "scheme", "strategy", "n", "s", "m", "r",
     "trials", "metric", "value", "stderr", "bound", "passed",
@@ -57,6 +58,9 @@ def rng_substream(seed: int, idx: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One experiment's parameters; ``PARAMETERS`` says which fields each
+    experiment reads, and any other field must keep its default."""
+
     experiment: str
     seed: int
     scheme: str = "ideal"
@@ -64,7 +68,6 @@ class RunConfig:
     adversary: str = "none"
     kind: str = "affine_hash"
     n: int = 2
-    s: int = 1
     m: int = 1
     r: int = 16
     trials: int = 400
@@ -74,28 +77,37 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_NAMES:
+        params = PARAMETERS.get(self.experiment)
+        if params is None:
             raise ValueError(
-                f"unknown experiment {self.experiment!r}; choose from {', '.join(EXPERIMENT_NAMES)}"
+                f"unknown experiment {self.experiment!r}; choose from {', '.join(PARAMETERS)}"
             )
         # values may come from a JSON config file, so types are checked here
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        for name in ("scheme", "strategy", "adversary", "kind", "format"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a string")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError("out must be a string")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
-        for name in ("n", "s", "m", "r", "trials"):
-            if not _is_int(getattr(self, name)) or getattr(self, name) < 1:
-                raise ValueError(f"{name} must be an integer of at least 1")
-        if not isinstance(self.exact, bool):
-            raise ValueError("exact must be true or false")
-        if self.tol is not None and (not isinstance(self.tol, (int, float))
-                                     or isinstance(self.tol, bool) or self.tol <= 0):
-            raise ValueError("tolerance override must be a positive number")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            spec = params.get(f.name)
+            if spec is None:
+                if f.name not in ("experiment", "seed", "out", "format") and value != f.default:
+                    raise ValueError(f"{self.experiment} does not take {f.name}")
+            elif isinstance(spec, tuple):
+                if value not in spec:
+                    raise ValueError(f"unknown {f.name} {value!r}; choose from {', '.join(spec)}")
+            elif spec is bool:
+                if not isinstance(value, bool):
+                    raise ValueError(f"{f.name} must be true or false")
+            elif spec is int:
+                if not _is_int(value) or value < 1:
+                    raise ValueError(f"{f.name} must be an integer of at least 1")
+            elif value is not None and not (
+                    (_is_int(value) or isinstance(value, float) and math.isfinite(value))
+                    and value > 0):
+                raise ValueError(f"{f.name} must be a finite positive tolerance")
 
 
 def _is_int(value) -> bool:
@@ -148,24 +160,10 @@ def records_to_json(records: list[ResultRecord]) -> str:
     return json.dumps([r.as_dict() for r in records], indent=2, sort_keys=True) + "\n"
 
 
-def _make_scheme(name: str, n: int):
-    if name == "ideal":
-        return IdealNike(n)
-    if name == "toydh":
-        return ToyDhNike(n)
-    if name == "broken":
-        return BrokenNike(n)
-    raise ValueError(f"unknown scheme {name!r}; choose from ideal, toydh, broken")
-
-
-def _make_adversary(name: str, n: int):
-    if name == "swap_epr_sub0":
-        # second-round attack shape: hit the first sub-instance only
-        return (swap_epr_attack(n), None)
-    if name in BUILTIN_ADVERSARIES:
-        return BUILTIN_ADVERSARIES[name](n)
-    choices = ", ".join(sorted(BUILTIN_ADVERSARIES) + ["swap_epr_sub0"])
-    raise ValueError(f"unknown adversary {name!r}; choose from {choices}")
+SCHEMES = {"ideal": IdealNike, "toydh": ToyDhNike, "broken": BrokenNike}
+# swap_epr_sub0 is the second-round attack shape: it hits the first sub-instance only
+_TWO_ROUND_ADVERSARIES = {**BUILTIN_ADVERSARIES,
+                          "swap_epr_sub0": lambda n: (swap_epr_attack(n), None)}
 
 
 def _binomial_stderr(p: float, trials: int) -> float:
@@ -286,16 +284,13 @@ _MOE_EXPECTED = {
 def _moe(cfg: RunConfig) -> list[ResultRecord]:
     """One game configuration, exact enumeration or Monte-Carlo."""
     name = _STRATEGY_ALIASES.get(cfg.strategy, cfg.strategy)
-    if name not in _MOE_EXPECTED:
-        raise ValueError(f"unknown strategy {cfg.strategy!r}; choose from "
-                         "honest, intercept, basis_reading, random")
     if name == "basis_reading" and cfg.scheme != "broken":
         raise ValueError("basis_reading needs a scheme whose public tuple carries the basis")
     if name == "random":
         strategy = random_strategy(cfg.n, min(cfg.n, 2), rng_substream(cfg.seed, 0))
     else:
         strategy = BUILTIN_STRATEGIES[name](cfg.n)
-    scheme = _make_scheme(cfg.scheme, cfg.n)
+    scheme = SCHEMES[cfg.scheme](cfg.n)
     tol = cfg.tol if cfg.tol is not None else 1e-9
 
     if cfg.exact:
@@ -348,10 +343,7 @@ _NIQKD_AGREE = {
 def _niqkd(cfg: RunConfig) -> list[ResultRecord]:
     """Empirical one-round runs plus the exact key-versus-E ensemble when
     the scheme enumerates and the adversary register fits the caps."""
-    if cfg.adversary not in _NIQKD_AGREE:
-        raise ValueError(f"unknown adversary {cfg.adversary!r}; choose from "
-                         + ", ".join(sorted(_NIQKD_AGREE)))
-    scheme = _make_scheme(cfg.scheme, cfg.n)
+    scheme = SCHEMES[cfg.scheme](cfg.n)
     adv = BUILTIN_ADVERSARIES[cfg.adversary](cfg.n)
     tol = cfg.tol if cfg.tol is not None else 1e-9
 
@@ -411,8 +403,8 @@ def _niqkd(cfg: RunConfig) -> list[ResultRecord]:
 def _two_round(cfg: RunConfig) -> list[ResultRecord]:
     """Composed runs with the cross-check round; everlasting-distance rows
     appear only for configurations with an exact route."""
-    scheme = _make_scheme(cfg.scheme, cfg.n)
-    adv = _make_adversary(cfg.adversary, cfg.n)
+    scheme = SCHEMES[cfg.scheme](cfg.n)
+    adv = _TWO_ROUND_ADVERSARIES[cfg.adversary](cfg.n)
     tol = cfg.tol if cfg.tol is not None else 1e-9
 
     rng = rng_substream(cfg.seed, 0)
@@ -462,11 +454,8 @@ def _nogo(cfg: RunConfig) -> list[ResultRecord]:
         kf = xor_trunc_key_function(cfg.r, cfg.m)
     elif cfg.kind == "affine_hash":
         kf = affine_hash_key_function(cfg.r, cfg.m, rng_substream(cfg.seed, 0))
-    elif cfg.kind == "table":
-        kf = table_key_function(cfg.r, cfg.m, rng_substream(cfg.seed, 0))
     else:
-        raise ValueError(f"unknown kind {cfg.kind!r}; choose from "
-                         "xor_trunc, affine_hash, table")
+        kf = table_key_function(cfg.r, cfg.m, rng_substream(cfg.seed, 0))
     proto = ClassicalKeyProtocol(kf)
     res = attack_success_rate(proto, cfg.trials, rng_substream(cfg.seed, 1))
     common = dict(strategy=cfg.kind, m=cfg.m, r=cfg.r, trials=cfg.trials)
@@ -535,6 +524,21 @@ _RUNNERS = {
     "entropy": _entropy,
 }
 
+# The RunConfig fields each experiment reads besides experiment and seed: the
+# field's type, or the names a string field accepts. RunConfig's checks, the
+# CLI's flags and the keys a --config file may hold all come from this table.
+PARAMETERS = {
+    "lemmas": {"trials": int, "tol": float},
+    "moe": {"scheme": tuple(SCHEMES), "strategy": (*_MOE_EXPECTED, *_STRATEGY_ALIASES),
+            "n": int, "trials": int, "exact": bool, "tol": float},
+    "niqkd": {"scheme": tuple(SCHEMES), "adversary": tuple(_NIQKD_AGREE),
+              "n": int, "trials": int, "tol": float},
+    "two-round": {"scheme": tuple(SCHEMES), "adversary": tuple(_TWO_ROUND_ADVERSARIES),
+                  "n": int, "m": int, "trials": int, "tol": float},
+    "nogo": {"kind": ("xor_trunc", "affine_hash", "table"), "r": int, "m": int, "trials": int},
+    "entropy": {"trials": int, "tol": float},
+}
+
 
 def run(config: RunConfig) -> list[ResultRecord]:
     """Execute one experiment; every row is deterministic in (config, seed)."""
@@ -543,14 +547,11 @@ def run(config: RunConfig) -> list[ResultRecord]:
 
 def sample_transcript(config: RunConfig) -> str:
     """One protocol run under the config's parameters, as transcript JSON."""
-    if config.experiment not in ("niqkd", "two-round"):
+    if config.experiment not in TRANSCRIPT_EXPERIMENTS:
         raise ValueError("transcripts exist for niqkd and two-round only")
-    scheme = _make_scheme(config.scheme, config.n)
+    scheme = SCHEMES[config.scheme](config.n)
+    adv = _TWO_ROUND_ADVERSARIES[config.adversary](config.n)
     rng = rng_substream(config.seed, 7)
     if config.experiment == "niqkd":
-        if config.adversary not in BUILTIN_ADVERSARIES:
-            raise ValueError(f"unknown adversary {config.adversary!r}")
-        adv = BUILTIN_ADVERSARIES[config.adversary](config.n)
         return run_niqkd(scheme, config.n, adv, rng).to_json()
-    adv = _make_adversary(config.adversary, config.n)
     return run_two_round(scheme, config.n, config.m, adv, rng).to_json()

@@ -1,9 +1,11 @@
 """Golden grid: fixed configurations whose output must stay byte-identical.
 
 Each file under ``tests/golden/`` holds the exact output of one fixed
-configuration. A refactor that keeps behaviour reproduces every file byte for
-byte. A change that deliberately alters the order of random draws regenerates
-exactly the files it moves, by name, and says so in CHANGES.md::
+configuration. The CSV files are what ``moeqkd`` prints for the flags in
+``CSV_GRID``, so they also cover the command-line parser. A refactor that
+keeps behaviour reproduces every file byte for byte. A change that
+deliberately alters the order of random draws regenerates exactly the files it
+moves, by name, and says so in CHANGES.md::
 
     PYTHONPATH=src python tests/test_golden.py moe_random_n3.csv
 
@@ -31,6 +33,8 @@ The swap transcripts measure state vectors; the measure_resend one sends a
 density operator through both measurements.
 """
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -39,8 +43,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from moeqkd.cli import main
 from moeqkd.entropy import CqEnsemble, pguess
-from moeqkd.harness import RunConfig, records_to_csv, rng_substream, run, sample_transcript
+from moeqkd.harness import RunConfig, rng_substream, sample_transcript
 from moeqkd.hashing import ExtractorSpec, extractor_distance
 from moeqkd.nogo import (
     ClassicalKeyProtocol,
@@ -96,7 +101,14 @@ TRANSCRIPTS = {
 
 
 def grid_csv(name: str) -> str:
-    return records_to_csv(run(RunConfig(seed=1, **CSV_GRID[name])))
+    params = dict(CSV_GRID[name])
+    argv = [params.pop("experiment"), "--seed", "1"]
+    for key, value in params.items():
+        argv += [f"--{key}"] if value is True else [f"--{key}", str(value)]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    assert code in (0, 1), argv
+    return out.getvalue()
 
 
 def transcript(name: str) -> str:

@@ -1,10 +1,12 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,9 @@ import pytest
 
 from moeqkd.cli import main
 from moeqkd.harness import (
+    _RUNNERS,
     CSV_COLUMNS,
+    PARAMETERS,
     ResultRecord,
     RunConfig,
     records_to_csv,
@@ -63,10 +67,77 @@ def test_config_validation():
         RunConfig("moe", seed=1, tol=0.0)
     # mistyped values, as a JSON config file can carry them
     for key, value in [("trials", 10.5), ("n", "2"), ("r", True), ("exact", "no"),
-                       ("exact", 1), ("tol", "x"), ("tol", True), ("scheme", 3),
-                       ("out", 1)]:
+                       ("exact", 1), ("tol", "x"), ("tol", True), ("tol", float("nan")),
+                       ("tol", float("inf")), ("scheme", 3), ("out", 1)]:
         with pytest.raises(ValueError, match=key if key != "tol" else "tolerance"):
             RunConfig("moe", seed=1, **{key: value})
+
+
+# a valid value other than the default for every field some experiment reads
+_NON_DEFAULT = {"scheme": "toydh", "strategy": "random", "adversary": "swap_epr",
+                "kind": "table", "n": 3, "m": 2, "r": 5, "trials": 7, "exact": True,
+                "tol": 0.5}
+_UNREAD = [(experiment, key) for experiment, params in PARAMETERS.items()
+           for key in _NON_DEFAULT if key not in params]
+
+
+def _config_reads(fn, name: str) -> set[str]:
+    """The attributes ``fn`` reads off its argument ``name``, which it may use
+    in no other way."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == name]
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == name]
+    assert len(uses) == len(reads), f"{fn.__name__} uses {name} other than by attribute"
+    return {node.attr for node in reads}
+
+
+def test_parameter_table_covers_every_runner():
+    assert list(PARAMETERS) == list(_RUNNERS)
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    assert set(_NON_DEFAULT) == set(defaults) - {"experiment", "seed", "out", "format"}
+    assert all(value != defaults[key] for key, value in _NON_DEFAULT.items())
+
+
+@pytest.mark.parametrize("experiment", list(PARAMETERS))
+def test_runner_reads_exactly_its_parameters(experiment):
+    assert _config_reads(_RUNNERS[experiment], "cfg") == \
+        {"experiment", "seed", *PARAMETERS[experiment]}
+
+
+def test_sample_transcript_reads_fit_its_experiments():
+    reads = _config_reads(sample_transcript, "config")
+    assert reads <= {"experiment", "seed", *PARAMETERS["two-round"]}
+    # the digest length is read on the two-round branch only
+    assert reads - {"m"} <= {"experiment", "seed", *PARAMETERS["niqkd"]}
+
+
+@pytest.mark.parametrize("experiment,key", _UNREAD)
+def test_unread_parameter_is_rejected(experiment, key, tmp_path, capsys):
+    value = _NON_DEFAULT[key]
+    flag = [f"--{key}"] if value is True else [f"--{key}", str(value)]
+    with pytest.raises(SystemExit) as exc:
+        main([experiment, "--seed", "1", *flag])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"seed": 1, key: value}))
+    assert main([experiment, "--config", str(cfgfile)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"{experiment} does not take {key}"):
+        RunConfig(experiment, seed=1, **{key: value})
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--seed", "1", "--s", "2"],
+    ["moe", "--seed", "1", "--tri", "20"],
+    ["nogo", "--seed", "1", "--tr", "20"],
+    ["moe", "--seed", "1", "--dump-transcript", "tx.json"],
+    ["entropy", "--seed", "1", "--dump-transcript", "tx.json"],
+])
+def test_cli_rejects_unknown_and_abbreviated_flags(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_record_serialization_shape():
@@ -247,6 +318,12 @@ def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
         cfgfile.write_text(text)
         assert main(["moe", "--config", str(cfgfile)]) == 2
         assert word in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_cli_rejects_non_finite_tolerance(tol, capsys):
+    assert main(["entropy", "--seed", "1", "--trials", "20", "--tol", tol]) == 2
+    assert "tolerance" in capsys.readouterr().err
 
 
 def test_cli_out_file_identical_across_runs(tmp_path, capsys):

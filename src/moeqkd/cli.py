@@ -50,6 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
     for name, params in PARAMETERS.items():
         sp = sub.add_parser(name, help=_HELP[name], allow_abbrev=False)
+        sp.set_defaults(subparser=sp)
         sp.add_argument("--seed", type=int, help="master seed (required here or in --config)")
         for key, spec in params.items():
             kind = (dict(action=argparse.BooleanOptionalAction) if spec is bool
@@ -90,7 +91,9 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns, extra = build_parser().parse_known_args(argv)
+    if extra:  # reported by the experiment's parser, whose usage lists its flags
+        ns.subparser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = _merge_config(ns)
         start = time.perf_counter()

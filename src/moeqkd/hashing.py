@@ -116,14 +116,12 @@ def uh_eval(n: int, ell: int, seed: tuple[int, int], x: int) -> int:
 
 
 def uh_sample_seed(n: int, rng: np.random.Generator) -> tuple[int, int]:
-    """Uniform seed (a, b) for the GF(2^n) family."""
+    """Uniform seed (a, b) for the GF(2^n) family, one draw per component;
+    fields are limited to n <= 62 bits, the widest one int64 draw covers."""
     _require_field(n)
-    a = int(rng.integers(0, 1 << min(n, 62)))
-    b = int(rng.integers(0, 1 << min(n, 62)))
-    for _ in range(max(0, (n - 1) // 62)):
-        a = (a << 62) | int(rng.integers(0, 1 << 62))
-        b = (b << 62) | int(rng.integers(0, 1 << 62))
-    return a & ((1 << n) - 1), b & ((1 << n) - 1)
+    if n > 62:
+        raise ValueError(f"seed sampling limited to n <= 62 bits, got {n}")
+    return int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))
 
 
 def _xor_span(basis: np.ndarray) -> np.ndarray:

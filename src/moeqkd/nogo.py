@@ -64,15 +64,6 @@ def _parities(rows: tuple[int, ...], x: int) -> int:
     return out
 
 
-def _batch_parities(rows: tuple[int, ...], xs: np.ndarray) -> np.ndarray:
-    """``_parities`` over an array of inputs."""
-    xs = xs.astype(np.uint64)
-    out = np.zeros(xs.shape, dtype=np.int64)
-    for o, row in enumerate(rows):
-        out |= (np.bitwise_count(xs & np.uint64(row)) & 1).astype(np.int64) << o
-    return out
-
-
 def _word_parities(row_words: np.ndarray, words: np.ndarray) -> list[int]:
     """``_parities`` of each row of coin words, in one pass."""
     folded = words[:, None, 0] & row_words[:, 0]
@@ -194,18 +185,6 @@ class KeyFunction:
             return int(self.table[ra, rb])
         return self.const ^ _parities(self.rows_a, ra) ^ _parities(self.rows_b, rb)
 
-    def batch_left(self, cands: np.ndarray, rb: int) -> np.ndarray:
-        """f(c, rb) for an array of left inputs."""
-        if self.table is not None:
-            return self.table[cands, rb].astype(np.int64)
-        return _batch_parities(self.rows_a, cands) ^ (self.const ^ _parities(self.rows_b, rb))
-
-    def batch_right(self, ra: int, cands: np.ndarray) -> np.ndarray:
-        """f(ra, c) for an array of right inputs."""
-        if self.table is not None:
-            return self.table[ra, cands].astype(np.int64)
-        return _batch_parities(self.rows_b, cands) ^ (self.const ^ _parities(self.rows_a, ra))
-
 
 def _affine(kind: str, r: int, m: int, cols_a, cols_b, const: int = 0, **seeds) -> KeyFunction:
     return KeyFunction(kind, r, m, _columns_to_rows(r, m, cols_a),
@@ -253,10 +232,6 @@ class QuantumPayload:
 
     party: str
     hidden: int
-    form: tuple = ("product", "unentangled")
-
-    def serialize(self) -> tuple:
-        return (self.party, self.hidden, self.form)
 
 
 @dataclass(frozen=True)
@@ -276,10 +251,6 @@ class ClassicalKeyProtocol:
     @property
     def r(self) -> int:
         return self.key_function.r
-
-    @property
-    def m(self) -> int:
-        return self.key_function.m
 
     @property
     def probes(self) -> int:
@@ -390,7 +361,8 @@ def eve_offline(proto: ClassicalKeyProtocol, state: AttackState, rng: np.random.
     The left candidate is drawn uniformly from its set, the right one is the
     lexicographically smallest member. Affine keys read both off the key
     function's echelon forms; table keys, which hold r <= MAX_TABLE_BITS,
-    enumerate all 2^r candidates.
+    enumerate all 2^r candidates, keeping those whose table entry matches
+    each probe in turn.
     """
     kf = proto.key_function
     if kf.is_affine:
@@ -403,14 +375,11 @@ def eve_offline(proto: ClassicalKeyProtocol, state: AttackState, rng: np.random.
         state.r_star_b = _solve(ech_b.low, y_b)
     else:
         state.method = "enumeration"
-        cands = np.arange(2**kf.r, dtype=np.int64)
+        gamma_a = gamma_b = np.arange(2**kf.r)
         for rb_t, a_t in zip(state.sampled_rb, state.alphas):
-            cands = cands[kf.batch_left(cands, rb_t) == a_t]
-        gamma_a = cands
-        cands = np.arange(2**kf.r, dtype=np.int64)
+            gamma_a = gamma_a[kf.table[gamma_a, rb_t] == a_t]
         for ra_t, b_t in zip(state.sampled_ra, state.betas):
-            cands = cands[kf.batch_right(ra_t, cands) == b_t]
-        gamma_b = cands
+            gamma_b = gamma_b[kf.table[ra_t, gamma_b] == b_t]
         if gamma_a.size == 0 or gamma_b.size == 0:
             raise AssertionError("observations came from a real run")
         state.r_star_a = int(rng.choice(gamma_a))

@@ -95,13 +95,11 @@ class Transcript:
             if isinstance(x, bytes):
                 return x.hex()
             if isinstance(x, Transcript):
-                return json.loads(x.to_json())
+                return enc(x.__dict__)
             if isinstance(x, dict):
                 return {k: enc(v) for k, v in x.items()}
             if isinstance(x, (tuple, list)):
                 return [enc(v) for v in x]
-            if isinstance(x, (np.integer, np.floating)):
-                return x.item()
             return x
 
         payload = {k: enc(v) for k, v in self.__dict__.items()}
@@ -130,12 +128,11 @@ def measure_resend_adversary(n: int) -> AdversaryChannel:
     """Measures the transit register in the computational basis, records the
     outcome classically in E, and forwards the collapsed register."""
 
+    relay = entangling_relay_adversary(n).act
+
     def act(public, psi, rng):
-        t = psi.reshape(2**n, 2**n)
-        v = np.zeros((2**n, 2**n, 2**n), dtype=np.complex128)
-        for e in range(2**n):
-            v[:, e, e] = t[:, e]
-        rho = np.outer(v.reshape(-1), v.reshape(-1).conj())
+        v = relay(public, psi, rng)
+        rho = np.outer(v, v.conj())
         r = rho.reshape(4**n, 2**n, 4**n, 2**n)
         r = r * np.eye(2**n)[None, :, None, :]  # kill coherence in the record
         return r.reshape(8**n, 8**n)
@@ -267,17 +264,6 @@ def run_two_round(scheme, n: int, m: int, adversary, rng: np.random.Generator) -
     if h_a.digest(kb_int) == digest_a:
         tx.kstar_b = uh_eval(2 * n, ell, seed, kb_int)
     return tx
-
-
-def verifiability_rate(scheme, n: int, m: int, adversary, trials: int, rng: np.random.Generator) -> float:
-    """Fraction of runs whose final outputs differ; a lone None output is a
-    difference, two None outputs agree."""
-    bad = 0
-    for _ in range(trials):
-        tx = run_two_round(scheme, n, m, adversary, rng)
-        if tx.kstar_a != tx.kstar_b:
-            bad += 1
-    return bad / trials
 
 
 @dataclass(frozen=True)

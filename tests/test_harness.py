@@ -134,10 +134,13 @@ def test_unread_parameter_is_rejected(experiment, key, tmp_path, capsys):
     ["moe", "--seed", "1", "--dump-transcript", "tx.json"],
     ["entropy", "--seed", "1", "--dump-transcript", "tx.json"],
 ])
-def test_cli_rejects_unknown_and_abbreviated_flags(argv):
+def test_cli_rejects_unknown_and_abbreviated_flags(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: moeqkd {argv[0]} ")
+    assert f"unrecognized arguments: {' '.join(argv[3:])}" in err
 
 
 def test_record_serialization_shape():

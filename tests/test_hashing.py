@@ -61,6 +61,17 @@ def test_uh_eval_truncates_most_significant_bits():
         hx.uh_eval(4, 2, (1, 0), 16)
 
 
+def test_uh_sample_seed_draws_elements_of_fields_up_to_62_bits():
+    rng = np.random.default_rng(8)
+    for n in (1, 17, 48):
+        a, b = hx.uh_sample_seed(n, rng)
+        assert 0 <= a < 1 << n and 0 <= b < 1 << n
+    with pytest.raises(ValueError):
+        hx.uh_sample_seed(63, rng)
+    with pytest.raises(ValueError, match="62 bits"):  # a field, but wider than one draw
+        hx.uh_sample_seed(64, rng)
+
+
 def test_collision_probability_matches_full_brute_force():
     # enumerate the whole (a, b) seed space at n <= 3 and compare
     for n in (2, 3):

@@ -5,6 +5,7 @@ from math import log2
 import numpy as np
 import pytest
 
+from moeqkd import harness
 from moeqkd.entropy import CqEnsemble, pguess
 from moeqkd.hashing import CrHash, CrHashFamily, uh_eval
 from moeqkd.nike import BrokenNike, IdealNike, ToyDhNike
@@ -21,7 +22,6 @@ from moeqkd.protocols import (
     run_niqkd,
     run_two_round,
     swap_epr_attack,
-    verifiability_rate,
     weak_security_report,
 )
 from moeqkd.quantum import theta_basis_state
@@ -300,13 +300,13 @@ def test_two_round_gate_postcondition():
 
 
 def test_two_round_verifiability_honest_and_gated():
-    rng = np.random.default_rng(28)
-    assert verifiability_rate(IdealNike(2), 2, 4, None, 60, rng) == 0.0
     # disagreement beyond digest collisions cannot survive m = 16
-    rate = verifiability_rate(IdealNike(2), 2, 16, (swap_epr_attack(2), None), 200, rng)
-    assert rate == 0.0
-    rate = verifiability_rate(IdealNike(2), 2, 16, entangling_relay_adversary(2), 200, rng)
-    assert rate == 0.0
+    for adversary, m, trials in (("none", 4, 60), ("swap_epr_sub0", 16, 200),
+                                 ("entangling_relay", 16, 200)):
+        cfg = harness.RunConfig("two-round", seed=28, scheme="ideal", adversary=adversary,
+                                n=2, m=m, trials=trials)
+        rows = {r.metric: r for r in harness.run(cfg)}
+        assert rows["verify_mismatch_rate"].value == 0.0
 
 
 def test_two_round_bot_propagation_on_failed_exchange():

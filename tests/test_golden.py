@@ -1,8 +1,8 @@
 """Golden grid: fixed configurations whose output must stay byte-identical.
 
 Each file under ``tests/golden/`` holds the exact output of one fixed
-configuration. The CSV files are what ``moeqkd`` prints for the flags in
-``CSV_GRID``, so they also cover the command-line parser. A refactor that
+configuration. The CSV files, and one JSON file, are what ``moeqkd`` prints
+for the flags in ``CSV_GRID``, so they also cover the command-line parser. A refactor that
 keeps behaviour reproduces every file byte for byte. A change that
 deliberately alters the order of random draws regenerates exactly the files it
 moves, by name, and says so in CHANGES.md::
@@ -25,6 +25,9 @@ information on a qubit, and non-diagonal qubit states with some zero weights.
 ``pguess_brackets.txt`` pins the multi-label ``pguess`` solver: both bracket
 ends and the iteration count for seeded ensembles of three or more labels,
 full-rank and pure, up to dimension 16, and one of 64 labels on a qubit.
+``pguess_fallback.txt`` pins the same for equal-prior, full-rank ensembles of
+six labels in dimension 8 whose first bracket misses the gap, so the longer
+ascent and the positive-part dual run.
 
 The ``*_transcript.json`` files pin one protocol transcript each, the bytes
 ``moeqkd ... --dump-transcript`` writes: Eve's state ``rho_e`` is kept in full
@@ -88,6 +91,13 @@ CSV_GRID = {
                                            n=1, m=1, trials=100),
     "two_round_passive_n2.csv": dict(experiment="two-round", scheme="ideal", adversary="none",
                                      n=2, m=1, trials=100),
+    "two_round_passive_n2.json": dict(experiment="two-round", scheme="ideal", adversary="none",
+                                      n=2, m=1, trials=100, format="json"),
+    "niqkd_swap_epr_toydh_n2.csv": dict(experiment="niqkd", adversary="swap_epr",
+                                        scheme="toydh", n=2, trials=100),
+    "niqkd_entangling_relay_n2.csv": dict(experiment="niqkd", adversary="entangling_relay",
+                                          n=2, trials=100),
+    "niqkd_identity_n2.csv": dict(experiment="niqkd", adversary="identity", n=2, trials=100),
 }
 
 TRANSCRIPTS = {
@@ -227,12 +237,28 @@ def pguess_brackets_trace() -> str:
     return "\n".join(lines) + "\n"
 
 
+# default_rng seeds whose (labels, d) = (6, 8) ensemble takes the fallback
+FALLBACK_SEEDS = (5, 25)
+
+
+def pguess_fallback_trace() -> str:
+    """One line per seed: both ends' reprs and the iteration count."""
+    lines = []
+    for seed in FALLBACK_SEEDS:
+        rng = np.random.default_rng(seed)
+        states = [random_density_operator(8, rng) for _ in range(6)]
+        b = pguess(CqEnsemble(list(range(6)), np.full(6, 1.0 / 6), states))
+        lines.append(f"seed={seed} {b.lower!r} {b.upper!r} {b.iterations}")
+    return "\n".join(lines) + "\n"
+
+
 GENERATORS = {name: (lambda name=name: grid_csv(name)) for name in CSV_GRID}
 GENERATORS.update({name: (lambda name=name: transcript(name)) for name in TRANSCRIPTS})
 GENERATORS["nogo_attack_trace.txt"] = attack_trace
 GENERATORS["nogo_attack_trace_wide.txt"] = attack_trace_wide
 GENERATORS["extractor_distance.txt"] = extractor_distance_trace
 GENERATORS["pguess_brackets.txt"] = pguess_brackets_trace
+GENERATORS["pguess_fallback.txt"] = pguess_fallback_trace
 
 
 @pytest.mark.parametrize("name", sorted(CSV_GRID))
@@ -243,6 +269,16 @@ def test_csv_records_match_golden(name):
 @pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
 def test_transcript_matches_golden(name):
     assert transcript(name).encode() == (GOLDEN / name).read_bytes()
+
+
+def test_cli_dump_transcript_matches_golden(tmp_path):
+    name = "niqkd_toydh_swap_epr_n2_transcript.json"
+    path = tmp_path / name
+    argv = ["niqkd", "--seed", "1", "--scheme", "toydh", "--adversary", "swap_epr",
+            "--n", "2", "--trials", "1", "--dump-transcript", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) in (0, 1)
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def test_attack_trace_matches_golden():
@@ -259,6 +295,10 @@ def test_extractor_distance_matches_golden():
 
 def test_pguess_brackets_match_golden():
     assert pguess_brackets_trace().encode() == (GOLDEN / "pguess_brackets.txt").read_bytes()
+
+
+def test_pguess_fallback_matches_golden():
+    assert pguess_fallback_trace().encode() == (GOLDEN / "pguess_fallback.txt").read_bytes()
 
 
 def regenerate(names) -> None:

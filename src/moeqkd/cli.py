@@ -36,8 +36,7 @@ _HELP = {
 }
 
 _FLAG_HELP = {"n": "key length in bits", "m": "digest length in bits",
-              "r": "local-coin length in bits", "exact": "enumerate instead of sampling",
-              "tol": "tolerance override"}
+              "r": "local-coin length in bits", "exact": "enumerate instead of sampling"}
 
 
 def build_parser() -> argparse.ArgumentParser:

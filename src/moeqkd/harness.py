@@ -10,12 +10,11 @@ same-seed runs.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .entropy import CqEnsemble, chain_rule_check, helstrom_binary, pguess
+from .entropy import DEFAULT_GAP, CqEnsemble, chain_rule_check, helstrom_binary, pguess
 from .game import (
     BUILTIN_STRATEGIES,
     decomposition_terms,
@@ -72,7 +71,6 @@ class RunConfig:
     r: int = 16
     trials: int = 400
     exact: bool = False
-    tol: float | None = None
     out: str | None = None
     format: str = "csv"
 
@@ -101,13 +99,8 @@ class RunConfig:
             elif spec is bool:
                 if not isinstance(value, bool):
                     raise ValueError(f"{f.name} must be true or false")
-            elif spec is int:
-                if not _is_int(value) or value < 1:
-                    raise ValueError(f"{f.name} must be an integer of at least 1")
-            elif value is not None and not (
-                    (_is_int(value) or isinstance(value, float) and math.isfinite(value))
-                    and value > 0):
-                raise ValueError(f"{f.name} must be a finite positive tolerance")
+            elif not _is_int(value) or value < 1:
+                raise ValueError(f"{f.name} must be an integer of at least 1")
 
 
 def _is_int(value) -> bool:
@@ -170,8 +163,8 @@ def _binomial_stderr(p: float, trials: int) -> float:
     return float(np.sqrt(max(p * (1.0 - p), 1e-12) / trials))
 
 
-def _within(value: float, expected: float, tol: float, stderr: float | None) -> bool:
-    return abs(value - expected) <= tol + 4.0 * (stderr or 0.0)
+def _within(value: float, expected: float, stderr: float | None) -> bool:
+    return abs(value - expected) <= q.ATOL_EIG + 4.0 * (stderr or 0.0)
 
 
 # ---------------------------------------------------------------- lemmas
@@ -180,8 +173,6 @@ def _within(value: float, expected: float, tol: float, stderr: float | None) -> 
 def _lemmas(cfg: RunConfig) -> list[ResultRecord]:
     """Operator lemma battery: union bound, basis averaging, EPR support,
     both uncertainty-style bounds, and the three-term win decomposition."""
-    tol_struct = cfg.tol if cfg.tol is not None else 1e-12
-    tol_bound = cfg.tol if cfg.tol is not None else 1e-9
     rows: list[ResultRecord] = []
 
     def rec(metric, value, bound, passed, **extra):
@@ -197,7 +188,7 @@ def _lemmas(cfg: RunConfig) -> list[ResultRecord]:
             d = int(rng.integers(2, 5))
             projs.append(q.random_projector(d, int(rng.integers(0, d + 1)), rng))
         worst = min(worst, q.operator_union_bound_witness(projs))
-    rec("union_witness_min", float(worst), -tol_bound, worst >= -tol_bound,
+    rec("union_witness_min", float(worst), -q.ATOL_EIG, worst >= -q.ATOL_EIG,
         trials=cfg.trials)
 
     pair = (
@@ -215,7 +206,7 @@ def _lemmas(cfg: RunConfig) -> list[ResultRecord]:
         for i in range(n):
             rhs = rhs @ q.embed_operator(pair, [i, n + i], 2 * n)
         dev = max(dev, float(np.abs(avg - rhs).max()))
-    rec("basis_average_dev_max", dev, tol_struct, dev <= tol_struct)
+    rec("basis_average_dev_max", dev, q.ATOL_STRUCT, dev <= q.ATOL_STRUCT)
 
     dev = 0.0
     for n in (1, 2, 3, 4):
@@ -223,7 +214,7 @@ def _lemmas(cfg: RunConfig) -> list[ResultRecord]:
         for ti in range(1 << n):
             p = q.agreement_projector(q.int_to_bits(ti, n))
             dev = max(dev, float(np.abs(p @ epr - epr).max()))
-    rec("epr_support_dev_max", dev, tol_struct, dev <= tol_struct)
+    rec("epr_support_dev_max", dev, q.ATOL_STRUCT, dev <= q.ATOL_STRUCT)
 
     rng = rng_substream(cfg.seed, 1)
     count = max(10, cfg.trials // 10)
@@ -233,8 +224,8 @@ def _lemmas(cfg: RunConfig) -> list[ResultRecord]:
             rho = q.random_density_operator(16, rng)
             value, bound, _ = verify_random_theta_bound(rho, s)
             margin = min(margin, bound - value)
-    rec("random_theta_margin_min", float(margin), -tol_bound,
-        margin >= -tol_bound, n=2, trials=count)
+    rec("random_theta_margin_min", float(margin), -q.ATOL_EIG,
+        margin >= -q.ATOL_EIG, n=2, trials=count)
 
     rng = rng_substream(cfg.seed, 2)
     margin = np.inf
@@ -245,8 +236,8 @@ def _lemmas(cfg: RunConfig) -> list[ResultRecord]:
             theta = tuple(int(b) for b in rng.integers(0, 2, 2))
             value, bound, _ = verify_fixed_theta_bound(rho, povm, theta, s)
             margin = min(margin, bound - value)
-    rec("fixed_theta_margin_min", float(margin), -tol_bound,
-        margin >= -tol_bound, n=2, trials=count)
+    rec("fixed_theta_margin_min", float(margin), -q.ATOL_EIG,
+        margin >= -q.ATOL_EIG, n=2, trials=count)
 
     # decomposition_terms certifies its own sum and dual routes to 1e-9,
     # raising on any violation; the row reports the survival fraction
@@ -291,7 +282,6 @@ def _moe(cfg: RunConfig) -> list[ResultRecord]:
     else:
         strategy = BUILTIN_STRATEGIES[name](cfg.n)
     scheme = SCHEMES[cfg.scheme](cfg.n)
-    tol = cfg.tol if cfg.tol is not None else 1e-9
 
     if cfg.exact:
         res = exact_pwin(scheme, strategy, cfg.n)
@@ -304,14 +294,14 @@ def _moe(cfg: RunConfig) -> list[ResultRecord]:
         # judged by the spread of the expected rate, as in _niqkd: an observed
         # rate of 0 or 1 has a stderr of almost nothing
         err = None if trials is None else _binomial_stderr(expected, trials)
-        return _within(value, expected, tol, err)
+        return _within(value, expected, err)
 
     exp_pwin, exp_agree = _MOE_EXPECTED[name]
     common = dict(scheme=cfg.scheme, strategy=cfg.strategy, n=cfg.n, trials=trials)
     rows = [
         ResultRecord(cfg.experiment, cfg.seed, "pwin", res.pwin, stderr=res.stderr,
                      bound=None if exp_pwin is None else exp_pwin(cfg.n),
-                     passed=(res.pwin <= res.agree_rate + tol) if exp_pwin is None
+                     passed=(res.pwin <= res.agree_rate + q.ATOL_EIG) if exp_pwin is None
                      else near(res.pwin, exp_pwin(cfg.n)),
                      **common),
     ]
@@ -342,25 +332,31 @@ _NIQKD_AGREE = {
 
 def _niqkd(cfg: RunConfig) -> list[ResultRecord]:
     """Empirical one-round runs plus the exact key-versus-E ensemble when
-    the scheme enumerates and the adversary register fits the caps."""
+    the scheme enumerates and the adversary register fits the caps.
+
+    The one trial loop also scores the decoder against the final key: a
+    trial whose keys agree scores 1 when Alice's guess is right, and one
+    whose keys disagree scores 2^-n, since that key is redrawn uniformly,
+    independent of E. The mean is the ``eve_guess_rate`` row."""
     scheme = SCHEMES[cfg.scheme](cfg.n)
     adv = BUILTIN_ADVERSARIES[cfg.adversary](cfg.n)
-    tol = cfg.tol if cfg.tol is not None else 1e-9
 
     rng = rng_substream(cfg.seed, 0)
     agree = 0
     recovered = 0
+    guessed = 0.0
     # the unbounded decoder phase needs the basis to be recoverable from
     # the public tuple, which rules out the opaque-handle scheme
     decode = adv is not None and adv.decoder is not None and cfg.scheme != "ideal"
     for _ in range(cfg.trials):
         tx = run_niqkd(scheme, cfg.n, adv, rng)
-        if tx.k_a is not None and tx.k_a == tx.k_b:
-            agree += 1
+        agreed = tx.k_a is not None and tx.k_a == tx.k_b
+        agree += agreed
         if decode:
             ga, gb = adv.decoder(tx, rng)
             if ga == tx.k_a and gb == tx.k_b:
                 recovered += 1
+            guessed += (ga == tx.k_a) if agreed else 2.0 ** -cfg.n
 
     expected = _NIQKD_AGREE[cfg.adversary](cfg.n)
     rate = agree / cfg.trials
@@ -368,7 +364,7 @@ def _niqkd(cfg: RunConfig) -> list[ResultRecord]:
     common = dict(scheme=cfg.scheme, strategy=cfg.adversary, n=cfg.n, trials=cfg.trials)
     rows = [ResultRecord(cfg.experiment, cfg.seed, "agree_rate", rate,
                          stderr=_binomial_stderr(rate, cfg.trials), bound=expected,
-                         passed=_within(rate, expected, tol, err), **common)]
+                         passed=_within(rate, expected, err), **common)]
     if decode:
         rec_rate = recovered / cfg.trials
         rows.append(ResultRecord(cfg.experiment, cfg.seed, "decoder_recovery_rate",
@@ -378,21 +374,21 @@ def _niqkd(cfg: RunConfig) -> list[ResultRecord]:
     e_qubits = 0 if adv is None else adv.e_qubits
     full_dim = 2 ** e_qubits * (2 ** cfg.n if cfg.scheme == "broken" else 1)
     if cfg.scheme in ("ideal", "broken") and cfg.n <= 4 and e_qubits <= 4 and full_dim <= 64:
-        rep = weak_security_report(scheme, cfg.n, adv, rng_substream(cfg.seed, 1),
-                                   trials=cfg.trials)
-        sane = -tol <= rep.hmin_lower <= rep.hmin_upper <= cfg.n + tol
+        rep = weak_security_report(scheme, cfg.n, adv, rng_substream(cfg.seed, 1))
+        sane = -q.ATOL_EIG <= rep.hmin_lower <= rep.hmin_upper <= cfg.n + q.ATOL_EIG
         rows.append(ResultRecord(cfg.experiment, cfg.seed, "hmin_lower",
                                  rep.hmin_lower, passed=sane, **common))
         rows.append(ResultRecord(cfg.experiment, cfg.seed, "hmin_upper",
                                  rep.hmin_upper, bound=float(cfg.n), passed=sane, **common))
-        if rep.eve_guess_rate is not None:
+        if decode:
             # empirical decoder success may not beat the certified optimum
+            guess_rate = guessed / cfg.trials
             err = _binomial_stderr(rep.bracket.upper, cfg.trials)
             rows.append(ResultRecord(
-                cfg.experiment, cfg.seed, "eve_guess_rate", rep.eve_guess_rate,
-                stderr=_binomial_stderr(rep.eve_guess_rate, cfg.trials),
+                cfg.experiment, cfg.seed, "eve_guess_rate", guess_rate,
+                stderr=_binomial_stderr(guess_rate, cfg.trials),
                 bound=rep.bracket.upper,
-                passed=rep.eve_guess_rate <= rep.bracket.upper + tol + 4 * err,
+                passed=guess_rate <= rep.bracket.upper + q.ATOL_EIG + 4 * err,
                 **common))
     return rows
 
@@ -405,7 +401,6 @@ def _two_round(cfg: RunConfig) -> list[ResultRecord]:
     appear only for configurations with an exact route."""
     scheme = SCHEMES[cfg.scheme](cfg.n)
     adv = _TWO_ROUND_ADVERSARIES[cfg.adversary](cfg.n)
-    tol = cfg.tol if cfg.tol is not None else 1e-9
 
     rng = rng_substream(cfg.seed, 0)
     mismatch = 0
@@ -441,7 +436,7 @@ def _two_round(cfg: RunConfig) -> list[ResultRecord]:
         eps = 2.0 ** -cfg.m
         for metric, d in (("everlasting_dist_a", d_a), ("everlasting_dist_b", d_b)):
             rows.append(ResultRecord(cfg.experiment, cfg.seed, metric, d,
-                                     bound=eps, passed=d <= eps + tol, **common))
+                                     bound=eps, passed=d <= eps + q.ATOL_EIG, **common))
     return rows
 
 
@@ -474,7 +469,6 @@ def _nogo(cfg: RunConfig) -> list[ResultRecord]:
 
 def _entropy(cfg: RunConfig) -> list[ResultRecord]:
     """Certified guessing-probability machinery on random ensembles."""
-    tol = cfg.tol if cfg.tol is not None else 1e-6
     count = max(4, cfg.trials // 100)
     rows: list[ResultRecord] = []
 
@@ -489,7 +483,7 @@ def _entropy(cfg: RunConfig) -> list[ResultRecord]:
         hel = helstrom_binary(p0, rho0, 1.0 - p0, rho1)
         dev = max(dev, br.lower - hel, hel - br.upper, 0.0)
     rows.append(ResultRecord(cfg.experiment, cfg.seed, "helstrom_dev_max", dev,
-                             bound=tol, passed=dev <= tol, trials=count))
+                             bound=DEFAULT_GAP, passed=dev <= DEFAULT_GAP, trials=count))
 
     rng = rng_substream(cfg.seed, 1)
     gap = 0.0
@@ -499,7 +493,7 @@ def _entropy(cfg: RunConfig) -> list[ResultRecord]:
         br = pguess(CqEnsemble(list(range(4)), probs, states))
         gap = max(gap, br.gap)
     rows.append(ResultRecord(cfg.experiment, cfg.seed, "bracket_gap_max", gap,
-                             bound=tol, passed=gap <= tol, trials=count))
+                             bound=DEFAULT_GAP, passed=gap <= DEFAULT_GAP, trials=count))
 
     rng = rng_substream(cfg.seed, 2)
     held = 0
@@ -528,15 +522,15 @@ _RUNNERS = {
 # field's type, or the names a string field accepts. RunConfig's checks, the
 # CLI's flags and the keys a --config file may hold all come from this table.
 PARAMETERS = {
-    "lemmas": {"trials": int, "tol": float},
+    "lemmas": {"trials": int},
     "moe": {"scheme": tuple(SCHEMES), "strategy": (*_MOE_EXPECTED, *_STRATEGY_ALIASES),
-            "n": int, "trials": int, "exact": bool, "tol": float},
+            "n": int, "trials": int, "exact": bool},
     "niqkd": {"scheme": tuple(SCHEMES), "adversary": tuple(_NIQKD_AGREE),
-              "n": int, "trials": int, "tol": float},
+              "n": int, "trials": int},
     "two-round": {"scheme": tuple(SCHEMES), "adversary": tuple(_TWO_ROUND_ADVERSARIES),
-                  "n": int, "m": int, "trials": int, "tol": float},
+                  "n": int, "m": int, "trials": int},
     "nogo": {"kind": ("xor_trunc", "affine_hash", "table"), "r": int, "m": int, "trials": int},
-    "entropy": {"trials": int, "tol": float},
+    "entropy": {"trials": int},
 }
 
 

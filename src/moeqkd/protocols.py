@@ -272,7 +272,6 @@ class WeakSecReport:
     hmin_upper: float
     bracket: GuessBracket
     agree_rate: float
-    eve_guess_rate: float | None
     ensemble: CqEnsemble | None = None
 
 
@@ -288,14 +287,15 @@ def _conditional_blocks(state: np.ndarray, n: int, e_dim: int, theta: tuple[int,
 
 
 def weak_security_report(
-    scheme, n: int, adversary: AdversaryChannel | None, rng: np.random.Generator, trials: int = 2000
+    scheme, n: int, adversary: AdversaryChannel | None, rng: np.random.Generator
 ) -> WeakSecReport:
     """Exact ensemble of the final key against E, with the key redrawn
     uniformly whenever the two measured keys disagree.
 
     Works for schemes with an exact (p, theta) enumeration. When the public
     tuple itself reveals theta, E is extended by a classical theta register.
-    The decoder guess rate (when the adversary ships one) is empirical.
+    No protocol trial runs here; ``harness._niqkd`` scores the adversary's
+    decoder in its own trial loop.
     """
     e_qubits = adversary.e_qubits if adversary is not None else 0
     if e_qubits > MAX_EVE_QUBITS:
@@ -331,30 +331,11 @@ def weak_security_report(
     ens = CqEnsemble(list(range(2**n)), probs, states)
     bracket = pguess(ens)
 
-    guess_rate = None
-    # the decoder recovers theta from the public tuple; IdealNike hides it
-    if adversary is not None and adversary.decoder and not isinstance(scheme, IdealNike):
-        hits = 0
-        done = 0
-        for _ in range(trials):
-            tx = run_niqkd(scheme, n, adversary, rng)
-            if tx.k_a is None:
-                continue
-            key = tx.k_a
-            if tx.k_a != tx.k_b:
-                key = tuple(int(b) for b in rng.integers(0, 2, size=n))
-            guess_a, _ = adversary.decoder(tx, rng)
-            hits += int(guess_a == key)
-            done += 1
-        if done:
-            guess_rate = hits / done
-
     return WeakSecReport(
         hmin_lower=-log2(bracket.upper),
         hmin_upper=-log2(bracket.lower),
         bracket=bracket,
         agree_rate=agree,
-        eve_guess_rate=guess_rate,
         ensemble=ens,
     )
 

@@ -330,8 +330,6 @@ def measure_in_theta_basis(
         raise ValueError("repeated qubit")
     state = np.asarray(state, dtype=np.complex128)
     r = len(qubits)
-    if r == 0:
-        return (), state
     if state.ndim not in (1, 2):
         raise ValueError("state must be a vector or a square matrix")
     n = n_qubits_of(state.shape[0])

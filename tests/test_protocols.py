@@ -117,7 +117,6 @@ def test_weak_report_passive_is_two_bits_exact():
     assert abs(rep.agree_rate - 1.0) <= 1e-12
     assert abs(rep.hmin_lower - 2.0) <= 1e-6
     assert abs(rep.hmin_upper - 2.0) <= 1e-6
-    assert rep.eve_guess_rate is None
 
 
 def test_weak_report_swap_ideal_regression():
@@ -161,13 +160,16 @@ def test_weak_report_swap_broken_hits_closed_form():
     # theta is public here, so Eve reads the key off her registers whenever
     # the parties agree: pguess = 1/4 * 1 + 3/4 * 1/4 = 7/16 exactly
     rng = np.random.default_rng(19)
-    rep = weak_security_report(BrokenNike(2), 2, swap_epr_attack(2), rng, trials=600)
+    rep = weak_security_report(BrokenNike(2), 2, swap_epr_attack(2), rng)
     assert abs(rep.bracket.lower - 7 / 16) <= 1e-6
     assert abs(rep.bracket.upper - 7 / 16) <= 1e-6
     assert abs(rep.hmin_lower - log2(16 / 7)) <= 1e-5
     # the shipped decoder should achieve the SDP optimum empirically
+    cfg = harness.RunConfig("niqkd", seed=19, scheme="broken", adversary="swap_epr",
+                            n=2, trials=600)
+    rows = {r.metric: r for r in harness.run(cfg)}
     sigma = (7 / 16 * 9 / 16 / 600) ** 0.5
-    assert abs(rep.eve_guess_rate - 7 / 16) <= 4 * sigma
+    assert abs(rows["eve_guess_rate"].value - 7 / 16) <= 4 * sigma
 
 
 def test_weak_report_measure_resend_closed_form():
@@ -210,8 +212,8 @@ def test_weak_ensemble_disagreement_part_is_key_independent():
         assert np.max(np.abs(rest[k] - rest[0])) <= 1e-10
 
 
-def test_weak_report_decoder_errors_propagate():
-    # a failing decoder must stop the report, not shorten its guess rate
+def test_weak_report_decoder_errors_propagate(monkeypatch):
+    # a failing decoder must stop the run, not shorten its guess rate
     swap = swap_epr_attack(1)
     calls = []
 
@@ -222,12 +224,14 @@ def test_weak_report_decoder_errors_propagate():
         return swap.decoder(tx, rng)
 
     adv = AdversaryChannel("flaky_swap", swap.e_qubits, swap.act, flaky)
+    monkeypatch.setitem(harness.BUILTIN_ADVERSARIES, "swap_epr", lambda n: adv)
+    cfg = dict(experiment="niqkd", seed=24, adversary="swap_epr", n=1, trials=10)
     with pytest.raises(ValueError, match="decoder failed"):
-        weak_security_report(BrokenNike(1), 1, adv, np.random.default_rng(24), trials=10)
+        harness.run(harness.RunConfig(scheme="broken", **cfg))
     # the opaque-handle scheme skips the decoder phase outright
     calls.clear()
-    rep = weak_security_report(IdealNike(1), 1, adv, np.random.default_rng(24), trials=10)
-    assert rep.eve_guess_rate is None and not calls
+    rows = harness.run(harness.RunConfig(scheme="ideal", **cfg))
+    assert "eve_guess_rate" not in {r.metric for r in rows} and not calls
 
 
 def test_weak_report_rejects_oversized_adversary():

@@ -26,6 +26,7 @@ from .quantum import (
     agreement_projector,
     assert_density_operator,
     block_projectors,
+    draw_index,
     epr_block_state,
     haar_state,
     int_to_bits,
@@ -198,13 +199,13 @@ def sampled_pwin(scheme, strategy: Strategy, n: int, trials: int, rng: np.random
         psi = _checked_prep(strategy, z.p)
         amp = theta_amplitudes(psi, z.theta, c_dim).reshape(4**n, c_dim)
         probs = (np.abs(amp) ** 2).sum(axis=1)
-        x = int(rng.choice(4**n, p=probs / probs.sum()))
+        x = draw_index(probs / probs.sum(), rng)
         ka, kb = divmod(x, 2**n)
         if z.theta not in stacks:
             stacks[z.theta] = _povm_stack(strategy, z.theta, c_dim)
         probs = np.einsum("c,kcd,d->k", amp[x].conj(), stacks[z.theta], amp[x]).real
         probs = np.clip(probs, 0.0, None)  # rounding only: the stack passed assert_povm
-        kc = int(rng.choice(2**n, p=probs / probs.sum()))
+        kc = draw_index(probs / probs.sum(), rng)
         if ka == kb:
             agrees += 1
             if ka == kc:
@@ -370,7 +371,7 @@ def distinguisher_advantage(
             if outcome == 1:
                 amp = theta_amplitudes(post, candidate, c_dim).reshape(4**n, c_dim)
                 probs = (np.abs(amp) ** 2).sum(axis=1)
-                ka, kb = divmod(int(rng.choice(4**n, p=probs / probs.sum())), 2**n)
+                ka, kb = divmod(draw_index(probs / probs.sum(), rng), 2**n)
                 if ka == kb:
                     hits[world] += 1
     return abs(hits[1] - hits[0]) / trials

@@ -14,14 +14,24 @@ Conventions used across the package:
   ``theta_amplitudes`` contracts one register at a time by matrix products
   for the Monte-Carlo callers; the exact callers contract both registers in
   one einsum of their own, whose rounding their pinned outputs depend on.
+  Frames on at most ``CACHED_FRAME_QUBITS`` (4) qubits, every trial loop's
+  size, are built once per theta and returned read-only (73 KiB for all 31
+  of them); larger frames are built fresh on each call.
 * ``measure_in_theta_basis`` rotates one qubit at a time, by one ``np.dot``
   with H on a reshaped view: the product ``np.tensordot`` would run, so the
   protocol transcripts keep their exact bits. The measured register is
-  brought forward by one ``transpose``.
+  brought forward by one ``transpose``, whose permutation is computed once
+  per (qubit count, measured qubits, rank).
+* Every weighted draw goes through ``draw_index``, which returns the index
+  ``rng.choice(len(p), p=p)`` returns and leaves the generator in the same
+  state, at about half its cost. The equality rests on numpy's implementation of
+  ``Generator.choice``; ``pyproject`` requires numpy >= 2.0 for it, and a
+  test checks it.
 """
 
 from __future__ import annotations
 
+from functools import cache, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +45,12 @@ ATOL_NORM = 1e-10
 # Dimension guard: dense operators on more than 13 qubits would silently chew
 # through memory, so refuse them.
 MAX_DENSITY_QUBITS = 13
+
+# theta frames up to this width are cached; a cached 13-qubit frame would pin 1 GiB
+CACHED_FRAME_QUBITS = 4
+
+# Generator.choice rejects a p whose sum is further than this from 1
+_P_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 _IDENTITY = np.eye(2, dtype=np.complex128)
@@ -169,14 +185,31 @@ def operator_union_bound_witness(projectors: Sequence[np.ndarray]) -> float:
 
 def theta_unitary(theta: Sequence[int]) -> np.ndarray:
     """H^theta as a 2^n x 2^n matrix: column x is |x>_theta. It is real and
-    symmetric, so row x is |x>_theta as well."""
+    symmetric, so row x is |x>_theta as well. For n <= CACHED_FRAME_QUBITS
+    the one cached, read-only frame is returned; callers must not write to it."""
     if len(theta) > MAX_DENSITY_QUBITS:
         raise ValueError("theta unitary too large")
-    u = np.ones((1, 1), dtype=np.complex128)
     for tb in theta:
         if tb not in (0, 1):
             raise ValueError(f"not a bit: {tb!r}")
+    if len(theta) <= CACHED_FRAME_QUBITS:
+        # one key per theta, whatever int-like type its bits come as
+        return _cached_frame(tuple(1 if tb else 0 for tb in theta))
+    return _kron_frame(theta)
+
+
+def _kron_frame(theta: Sequence[int]) -> np.ndarray:
+    u = np.ones((1, 1), dtype=np.complex128)
+    for tb in theta:
         u = np.kron(u, HADAMARD if tb else _IDENTITY)
+    return u
+
+
+@cache
+def _cached_frame(theta: tuple[int, ...]) -> np.ndarray:
+    """H^theta for validated bits, cached per theta and returned read-only."""
+    u = _kron_frame(theta)
+    u.flags.writeable = False
     return u
 
 
@@ -311,6 +344,29 @@ def _rotate_theta(state: np.ndarray, n: int, qubits: Sequence[int], theta: Seque
     return state
 
 
+def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
+    """The index ``rng.choice(len(p), p=p)`` draws, from the one ``rng.random()``
+    it takes, so the generator ends in the same state. ``p`` is nonnegative;
+    like ``rng.choice``, a ``p`` whose sum is NaN or off 1 by more than
+    sqrt(float64 eps) raises ``ValueError``."""
+    cdf = np.cumsum(p)
+    if not abs(cdf[-1] - 1.0) <= _P_SUM_ATOL:
+        raise ValueError(f"probabilities sum to {cdf[-1]!r}, not 1")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+@lru_cache(maxsize=1024)  # bounded: any subset of up to 13 qubits may be measured
+def _measure_layout(n: int, qubits: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(perm, inverse) bringing the measured qubits forward, the rest following
+    in order; a density operator permutes its column qubits the same way."""
+    perm = list(qubits) + [q for q in range(n) if q not in qubits]
+    if ndim == 2:
+        perm += [n + q for q in perm]
+    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    return tuple(perm), tuple(inverse)
+
+
 def measure_in_theta_basis(
     state: np.ndarray,
     qubits: Sequence[int],
@@ -333,12 +389,7 @@ def measure_in_theta_basis(
     if state.ndim not in (1, 2):
         raise ValueError("state must be a vector or a square matrix")
     n = n_qubits_of(state.shape[0])
-    # measured qubits lead, the rest follow in order; a density operator
-    # permutes its column qubits the same way
-    perm = qubits + [q for q in range(n) if q not in qubits]
-    if state.ndim == 2:
-        perm += [n + q for q in perm]
-    inverse = sorted(range(len(perm)), key=perm.__getitem__)
+    perm, inverse = _measure_layout(n, tuple(qubits), state.ndim)
     # Rotate the measured qubits into the computational frame, sample there,
     # collapse, then rotate back. H is self-inverse so the same rotation undoes.
     t = _rotate_theta(state, n, qubits, theta).reshape((2,) * len(perm)).transpose(perm)
@@ -347,14 +398,14 @@ def measure_in_theta_basis(
         probs = np.abs(block) ** 2
         probs = np.maximum(probs.sum(axis=1).real, 0.0)
         probs = probs / probs.sum()
-        x = int(rng.choice(1 << r, p=probs))
+        x = draw_index(probs, rng)
         post = np.zeros_like(block)
         post[x] = block[x] / np.sqrt(probs[x])
     else:
         blk = t.reshape(1 << r, 1 << (n - r), 1 << r, 1 << (n - r))
         probs = np.maximum(np.einsum("xixi->x", blk).real, 0.0)
         probs = probs / probs.sum()
-        x = int(rng.choice(1 << r, p=probs))
+        x = draw_index(probs, rng)
         post = np.zeros_like(blk)
         post[x, :, x, :] = blk[x, :, x, :] / probs[x]
     t = post.reshape((2,) * len(perm)).transpose(inverse).reshape(state.shape)

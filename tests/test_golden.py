@@ -29,6 +29,11 @@ full-rank and pure, up to dimension 16, and one of 64 labels on a qubit.
 six labels in dimension 8 whose first bracket misses the gap, so the longer
 ascent and the positive-part dual run.
 
+``distinguisher_advantage.txt`` pins ``game.distinguisher_advantage`` at
+n = 2 for the ideal, toydh and broken schemes: the advantage's repr at fixed
+seeds, and the next draw of the generator afterwards, so a change in how many
+draws the reduction takes shows even where the advantage does not move.
+
 The ``*_transcript.json`` files pin one protocol transcript each, the bytes
 ``moeqkd ... --dump-transcript`` writes: Eve's state ``rho_e`` is kept in full
 there, so they see float changes in the protocol path that the records hide.
@@ -48,7 +53,15 @@ import pytest
 
 from moeqkd.cli import main
 from moeqkd.entropy import CqEnsemble, pguess
+from moeqkd.game import (
+    basis_reading_strategy,
+    distinguisher_advantage,
+    honest_strategy,
+    intercept_resend_strategy,
+    random_strategy,
+)
 from moeqkd.harness import RunConfig, rng_substream, sample_transcript
+from moeqkd.nike import BrokenNike, IdealNike, ToyDhNike
 from moeqkd.hashing import ExtractorSpec, extractor_distance
 from moeqkd.nogo import (
     ClassicalKeyProtocol,
@@ -252,6 +265,28 @@ def pguess_fallback_trace() -> str:
     return "\n".join(lines) + "\n"
 
 
+def distinguisher_trace() -> str:
+    """One line per (scheme, strategy, seed): the advantage's repr and the
+    generator's next 63-bit draw."""
+    strategies = {
+        "honest": honest_strategy(2),
+        "intercept": intercept_resend_strategy(2),
+        "random": random_strategy(2, 1, np.random.default_rng(2028)),
+        "basis_reading": basis_reading_strategy(2),
+    }
+    lines = []
+    for scheme in (IdealNike(2), ToyDhNike(2), BrokenNike(2)):
+        for label, strategy in strategies.items():
+            if label == "basis_reading" and scheme.name != "broken":
+                continue  # it reads theta from the public tuple
+            for seed in (31, 32):
+                rng = np.random.default_rng(seed)
+                adv = distinguisher_advantage(scheme, strategy, 2, 150, rng)
+                lines.append(f"{scheme.name} {label} seed={seed} {adv!r} "
+                             f"next={int(rng.integers(2**63))}")
+    return "\n".join(lines) + "\n"
+
+
 GENERATORS = {name: (lambda name=name: grid_csv(name)) for name in CSV_GRID}
 GENERATORS.update({name: (lambda name=name: transcript(name)) for name in TRANSCRIPTS})
 GENERATORS["nogo_attack_trace.txt"] = attack_trace
@@ -259,6 +294,7 @@ GENERATORS["nogo_attack_trace_wide.txt"] = attack_trace_wide
 GENERATORS["extractor_distance.txt"] = extractor_distance_trace
 GENERATORS["pguess_brackets.txt"] = pguess_brackets_trace
 GENERATORS["pguess_fallback.txt"] = pguess_fallback_trace
+GENERATORS["distinguisher_advantage.txt"] = distinguisher_trace
 
 
 @pytest.mark.parametrize("name", sorted(CSV_GRID))
@@ -299,6 +335,10 @@ def test_pguess_brackets_match_golden():
 
 def test_pguess_fallback_matches_golden():
     assert pguess_fallback_trace().encode() == (GOLDEN / "pguess_fallback.txt").read_bytes()
+
+
+def test_distinguisher_advantage_matches_golden():
+    assert distinguisher_trace().encode() == (GOLDEN / "distinguisher_advantage.txt").read_bytes()
 
 
 def regenerate(names) -> None:

@@ -321,6 +321,14 @@ def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
         assert word in capsys.readouterr().err
 
 
+def test_cli_unreadable_config_is_a_usage_error(tmp_path, capsys):
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text("seed = 1\n")
+    for path in (tmp_path / "missing.json", garbled):
+        assert main(["moe", "--config", str(path)]) == 2
+        assert f"cannot read config file {path}" in capsys.readouterr().err
+
+
 def test_cli_out_file_identical_across_runs(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["nogo", "--seed", "5", "--r", "8", "--trials", "40",

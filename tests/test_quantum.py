@@ -91,6 +91,70 @@ def test_theta_kernel_rejects_bad_input():
         q.theta_basis_state((0, 1, 1), (1, 0))
 
 
+def test_theta_frame_is_cached_read_only():
+    u = q.theta_unitary((1, 0))
+    assert q.theta_unitary((1, 0)) is u
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+    bits = [(1, 0, 1), [1, 0, 1], tuple(np.array([1, 0, 1], dtype=np.int64)), (True, False, True)]
+    frames = [q.theta_unitary(b) for b in bits]
+    assert all(f.tobytes() == frames[0].tobytes() for f in frames)
+
+
+@pytest.mark.parametrize("theta", [(0, 2), (1.5,), (-1, 0), (1, 0, 0, 1, 2)])
+def test_theta_frame_checks_bits_before_the_cache(theta):
+    before = q._cached_frame.cache_info()
+    with pytest.raises(ValueError, match="not a bit"):
+        q.theta_unitary(theta)
+    after = q._cached_frame.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_wide_theta_frame_is_fresh_and_writable():
+    theta = (1, 0, 1, 1, 0)
+    assert len(theta) > q.CACHED_FRAME_QUBITS
+    u = q.theta_unitary(theta)
+    assert u is not q.theta_unitary(theta) and u.flags.writeable
+    for x in range(1 << len(theta)):
+        assert np.allclose(u[:, x], theta_reference(x, theta), atol=q.ATOL_STRUCT)
+    u[0, 0] = 0.0  # the caller's own copy
+
+
+@st.composite
+def weight_vectors(draw):
+    """Nonnegative weights of length 1-256 with zeros and skew, normalized as
+    the callers normalize them: divided by their own sum."""
+    k = draw(st.integers(1, 256))
+    seed = draw(st.integers(0, 2**32 - 1))
+    wrng = np.random.default_rng(seed)
+    w = wrng.random(k) ** draw(st.sampled_from([1.0, 4.0, 16.0]))
+    w[wrng.random(k) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    if draw(st.booleans()):
+        w[int(wrng.integers(k))] += draw(st.sampled_from([1.0, 1e3, 1e9]))
+    if w.sum() == 0.0:
+        w[-1] = 1.0
+    return w / w.sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_vectors(), st.integers(0, 2**32 - 1))
+def test_draw_index_is_rng_choice(p, seed):
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert q.draw_index(p, rng) == int(oracle.choice(len(p), p=p))
+    assert rng.bit_generator.state == oracle.bit_generator.state
+
+
+def test_draw_index_keeps_the_sum_guard():
+    rng = np.random.default_rng(0)
+    for p in ([0.5, np.nan], [0.5, 0.5 + 1e-6], [0.5, 0.5 - 1e-6]):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(2, p=p)
+        with pytest.raises(ValueError):
+            q.draw_index(np.array(p), rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 def test_bell_states_oracle():
     assert np.allclose(q.bell_state("phi+"), [RT2, 0, 0, RT2])
     assert np.allclose(q.bell_state("phi-"), [RT2, 0, 0, -RT2])

@@ -16,6 +16,18 @@ Coins are drawn and probed as 32-bit words, one draw call and one
 register implies the same equation M·c = y, so the offline phase is closed
 form over the echelon forms each ``KeyFunction`` derives once; table keys,
 at most MAX_TABLE_BITS wide, enumerate all 2^r candidates instead.
+
+``attack_success_rate`` runs affine trials TRIAL_BLOCK at a time, each block
+from one draw call that lays out, trial by trial, what the per-trial calls
+draw: R_A, R_B, the probe coins and the offline phase's free bits. Every
+bound is a power of two at most 2^32, on which numpy's bounded draw
+(Lemire's method) never rejects, so each value takes one 32-bit output and
+the block yields the same values and final generator state. The block then
+computes keys, probe outcomes, Eve's checks and both picks as arrays over
+its trials; ``eve_offline`` is the one-trial case of the same solve. Table
+keys stay per trial: ``rng.choice`` draws below the candidate set's size,
+known only after the probes, and a bound that is not a power of two may
+reject and redraw.
 """
 
 from __future__ import annotations
@@ -29,6 +41,7 @@ from .hashing import REDUCTION_POLY, gf_mul
 
 MAX_TABLE_BITS = 12
 T_FACTOR = 2  # online probes per randomness bit
+TRIAL_BLOCK = 64  # affine attack trials per draw call; bounds peak memory
 
 
 def nogo_bound(r: int) -> float:
@@ -36,10 +49,15 @@ def nogo_bound(r: int) -> float:
     return max(0.0, 1.0 / 3.0 - 2.0 * (8.0 / 9.0) ** r)
 
 
+def _word_bounds(bits: int) -> list[int]:
+    """Per-word draw bounds of a ``bits``-wide coin, low word first."""
+    return [1 << min(32, bits - lo) for lo in range(0, bits, 32)]
+
+
 def _draw_words(rng: np.random.Generator, bits: int, count: int) -> np.ndarray:
     """``count`` coins as rows of uint32 words, low word first, in one draw
     call; it yields the values of per-word scalar draws in row order."""
-    bounds = [1 << min(32, bits - lo) for lo in range(0, bits, 32)]
+    bounds = _word_bounds(bits)
     return rng.integers(0, bounds, size=(count, len(bounds))).astype(np.uint32)
 
 
@@ -50,6 +68,27 @@ def _join_words(words: np.ndarray) -> list[int]:
     for col in reversed(cols):
         out = [hi << 8 * words.itemsize | lo for hi, lo in zip(out, col)]
     return out
+
+
+def _int_words(values, bits: int) -> np.ndarray:
+    """Python ints as rows of ``bits``-wide uint32 words, low word first."""
+    width = -(-bits // 32)
+    raw = b"".join(v.to_bytes(4 * width, "little") for v in values)
+    return np.frombuffer(raw, dtype="<u4").reshape(len(values), width)
+
+
+def _int_bits(values, bits: int) -> np.ndarray:
+    """Python ints as rows of their ``bits`` low bits, lowest first."""
+    return np.unpackbits(_int_words(values, bits).view(np.uint8), axis=1, count=bits,
+                         bitorder="little")
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Rows of bits, lowest first, as uint32 words, low word first."""
+    n = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (-(-n // 32) * 32,), dtype=np.uint8)
+    padded[..., :n] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view("<u4")
 
 
 def _rand_bits(rng: np.random.Generator, bits: int) -> int:
@@ -64,21 +103,26 @@ def _parities(rows: tuple[int, ...], x: int) -> int:
     return out
 
 
-def _word_parities(row_words: np.ndarray, words: np.ndarray) -> list[int]:
-    """``_parities`` of each row of coin words, in one pass."""
-    folded = words[:, None, 0] & row_words[:, 0]
-    for w in range(1, words.shape[1]):
-        folded ^= words[:, None, w] & row_words[:, w]
-    return _join_words(np.packbits(np.bitwise_count(folded) & 1, axis=1, bitorder="little"))
+def _parity_bits(row_words: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The vector form of ``_parities``: bit o of the last axis is the parity
+    of ``row_words[o] & x``, for each x given as words on the last axis of
+    ``words``; the leading axes (trials, probes) carry through."""
+    folded = words[..., None, 0] & row_words[:, 0]
+    for w in range(1, words.shape[-1]):
+        folded ^= words[..., None, w] & row_words[:, w]
+    return np.bitwise_count(folded) & 1
 
 
-def _reduce_rows(rows, lowest: bool = False) -> dict[int, tuple[int, int]]:
+def _reduce_rows(rows, lowest: bool = False) -> tuple[dict[int, tuple[int, int]], list[int]]:
     """Gauss-Jordan elimination over GF(2) on each row's top (or lowest) bit.
 
-    Returns {pivot: (row, combo)}: no row holds another's pivot, and combo
-    masks the input rows that row is the xor of.
+    Returns {pivot: (row, combo)}, where no row holds another's pivot and
+    combo masks the input rows that row is the xor of, and the combos of the
+    input rows that reduce to 0. Those span the relations among the rows: y
+    is in the image of M iff y & combo has even parity for each of them.
     """
     reduced: dict[int, tuple[int, int]] = {}
+    null: list[int] = []
     for o, row in enumerate(rows):
         combo = 1 << o
         for p, (prow, pcombo) in reduced.items():
@@ -90,39 +134,61 @@ def _reduce_rows(rows, lowest: bool = False) -> dict[int, tuple[int, int]]:
                 if prow >> pivot & 1:
                     reduced[p] = (prow ^ row, pcombo ^ combo)
             reduced[pivot] = (row, combo)
-    return reduced
+        else:
+            null.append(combo)
+    return reduced, null
 
 
-def _solve(reduced: dict[int, tuple[int, int]], y: int, x_free: int = 0) -> int:
-    """The solution of M·x = y, if any, equal to ``x_free`` off the pivots."""
-    x = x_free
-    for p, (row, combo) in reduced.items():
-        x |= ((combo & y).bit_count() + (row & x_free).bit_count() & 1) << p
-    return x
+class PivotMasks(NamedTuple):
+    """A reduced echelon form as word masks, one row per pivot column: the
+    reduced rows (r bits) and their combos (m bits)."""
+
+    cols: list[int]
+    rows: np.ndarray
+    combos: np.ndarray
+
+    @classmethod
+    def of(cls, reduced: dict[int, tuple[int, int]], r: int, m: int) -> PivotMasks:
+        return cls(list(reduced), _int_words([row for row, _ in reduced.values()], r),
+                   _int_words([combo for _, combo in reduced.values()], m))
+
+
+def _echelon_solve(piv: PivotMasks, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Complete ``x``, bits that are 0 on the pivots, to solutions of M·x = y,
+    one per row of ``y``'s words: pivot bit p becomes the parity of
+    combo_p & y xor that of row_p & x. Returns the solutions as words."""
+    bits = _parity_bits(piv.combos, y)
+    if x.any():
+        bits ^= _parity_bits(piv.rows, _pack_bits(x))
+    x[..., piv.cols] = bits
+    return _pack_bits(x)
 
 
 class RowEchelon(NamedTuple):
     """One side's row masks M, as uint32 words and in reduced echelon form.
 
-    ``top`` pivots on top bits: drawing its ``free`` columns and solving
-    gives a uniform solution. ``low`` pivots on lowest bits: a column that is
-    no row combination's lowest bit can always be 0, so solving with no free
-    bits set gives the smallest solution, the xor of the unit vectors at the
-    pivots whose combo has odd parity with y.
+    ``top`` pivots on top bits, as {pivot: (row, combo)}: drawing its
+    ``free`` columns and solving gives a uniform solution. ``low_masks``
+    pivots on lowest bits: a column that is no row combination's lowest bit
+    can always be 0, so solving with no free bits set gives the smallest
+    solution, the xor of the unit vectors at the pivots whose combo has odd
+    parity with y. ``_echelon_solve`` reads ``top_masks`` and ``low_masks``;
+    ``null`` holds the relations among the rows as m-bit words.
     """
 
-    rows: tuple[int, ...]
     words: np.ndarray
     top: dict[int, tuple[int, int]]
-    low: dict[int, tuple[int, int]]
     free: tuple[int, ...]
+    top_masks: PivotMasks
+    low_masks: PivotMasks
+    null: np.ndarray
 
     @classmethod
     def of(cls, rows: tuple[int, ...], r: int) -> RowEchelon:
-        words = [[row >> lo & 0xFFFFFFFF for lo in range(0, r, 32)] for row in rows]
-        top = _reduce_rows(rows)
-        return cls(rows, np.array(words, dtype=np.uint32), top, _reduce_rows(rows, lowest=True),
-                   tuple(j for j in range(r) if j not in top))
+        (top, null), (low, _) = _reduce_rows(rows), _reduce_rows(rows, lowest=True)
+        m = len(rows)
+        return cls(_int_words(rows, r), top, tuple(j for j in range(r) if j not in top),
+                   PivotMasks.of(top, r, m), PivotMasks.of(low, r, m), _int_words(null, m))
 
 
 def _columns_to_rows(r: int, m: int, cols) -> tuple[int, ...]:
@@ -283,7 +349,8 @@ class ClassicalKeyProtocol:
             return outcomes.tolist(), payload
         own, other = (kf.rows_a, kf.echelon_b) if payload.party == "A" else (kf.rows_b, kf.echelon_a)
         base = kf.const ^ _parities(own, hidden)
-        return [base ^ p for p in _word_parities(other.words, words)], payload
+        parities = _join_words(_pack_bits(_parity_bits(other.words, words)))
+        return [base ^ p for p in parities], payload
 
 
 def run_toy_protocol(proto: ClassicalKeyProtocol, rng: np.random.Generator):
@@ -345,14 +412,28 @@ def gamma_membership(kf: KeyFunction, state: AttackState, side: str, cand: int) 
     return all(kf.value(ra, cand) == b for ra, b in zip(state.sampled_ra, state.betas))
 
 
-def _affine_rhs(kf: KeyFunction, ech: RowEchelon, other: RowEchelon, outcomes, words) -> int:
-    """The y = M·r, r the intercepted coins, that every probe outcome implies;
-    raises unless all probes give the same y and y is in the image of M."""
-    ys = {out ^ p for out, p in zip(outcomes, _word_parities(other.words, words))}
-    y = ys.pop() ^ kf.const if len(ys) == 1 else None
-    if y is None or _parities(ech.rows, _solve(ech.top, y)) != y:
+def _probe_rhs(kf: KeyFunction, ech: RowEchelon, other: RowEchelon,
+               outcomes: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The y = M·r, r the intercepted coins, that every probe outcome implies,
+    as m-bit words, one row per trial; outcomes are bits (trials, probes, m)
+    and ``words`` the counterpart coins. Raises unless each trial's probes
+    give the same y and y is in the image of M."""
+    ys = outcomes ^ _parity_bits(other.words, words)
+    y = _pack_bits(ys[:, 0]) ^ _int_words([kf.const], kf.m)
+    if not (ys == ys[:, :1]).all() or _parity_bits(ech.null, y).any():
         raise AssertionError("observations came from a real run")
     return y
+
+
+def _affine_picks(kf: KeyFunction, y_a: np.ndarray, y_b: np.ndarray,
+                  free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both offline picks as words, one row per trial: the solution of
+    M_a·x = y_a with the drawn bits ``free`` on its free columns, and the
+    smallest solution of M_b·x = y_b."""
+    x_a = np.zeros(free.shape[:-1] + (kf.r,), dtype=np.uint8)
+    x_a[..., list(kf.echelon_a.free)] = free
+    return (_echelon_solve(kf.echelon_a.top_masks, y_a, x_a),
+            _echelon_solve(kf.echelon_b.low_masks, y_b, np.zeros_like(x_a)))
 
 
 def eve_offline(proto: ClassicalKeyProtocol, state: AttackState, rng: np.random.Generator) -> int:
@@ -360,19 +441,22 @@ def eve_offline(proto: ClassicalKeyProtocol, state: AttackState, rng: np.random.
 
     The left candidate is drawn uniformly from its set, the right one is the
     lexicographically smallest member. Affine keys read both off the key
-    function's echelon forms; table keys, which hold r <= MAX_TABLE_BITS,
-    enumerate all 2^r candidates, keeping those whose table entry matches
-    each probe in turn.
+    function's echelon forms, as a block of one trial; table keys, which
+    hold r <= MAX_TABLE_BITS, enumerate all 2^r candidates, keeping those
+    whose table entry matches each probe in turn.
     """
     kf = proto.key_function
     if kf.is_affine:
         state.method = "affine"
         ech_a, ech_b = kf.echelon_a, kf.echelon_b
-        y_a = _affine_rhs(kf, ech_a, ech_b, state.alphas, state.rb_words)
-        y_b = _affine_rhs(kf, ech_b, ech_a, state.betas, state.ra_words)
-        bits = rng.integers(0, 2, size=len(ech_a.free)).tolist()
-        state.r_star_a = _solve(ech_a.top, y_a, sum(b << j for j, b in zip(ech_a.free, bits)))
-        state.r_star_b = _solve(ech_b.low, y_b)
+        if max(state.alphas + state.betas) >> kf.m:  # a y outside M's image
+            raise AssertionError("observations came from a real run")
+        alphas, betas = (_int_bits(out, kf.m)[None] for out in (state.alphas, state.betas))
+        y_a = _probe_rhs(kf, ech_a, ech_b, alphas, state.rb_words[None])
+        y_b = _probe_rhs(kf, ech_b, ech_a, betas, state.ra_words[None])
+        free = rng.integers(0, 2, size=(1, len(ech_a.free)))
+        picks = _affine_picks(kf, y_a, y_b, free)
+        state.r_star_a, state.r_star_b = (_join_words(x)[0] for x in picks)
     else:
         state.method = "enumeration"
         gamma_a = gamma_b = np.arange(2**kf.r)
@@ -389,6 +473,46 @@ def eve_offline(proto: ClassicalKeyProtocol, state: AttackState, rng: np.random.
     return state.guess
 
 
+def _attack_block(proto: ClassicalKeyProtocol, count: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """``count`` trials of ``attack_success_rate``'s loop on an affine key:
+    the honest keys and the guesses as m-bit words, and the offline picks
+    r*_a and r*_b as r-bit words, one row per trial.
+
+    One draw call yields, per trial, what the loop draws in turn: R_A's and
+    R_B's words, the probe coins in ``eve_online``'s order and the free bits
+    ``eve_offline`` draws. Every bound is a power of two at most 2^32, so
+    each value takes one 32-bit output and the values and the generator state
+    equal those of the per-trial calls.
+    """
+    kf = proto.key_function
+    ech_a, ech_b = kf.echelon_a, kf.echelon_b
+    bounds, probes = _word_bounds(kf.r), proto.probes
+    w = len(bounds)
+    layout = np.array(bounds * (2 + 2 * probes) + [2] * len(ech_a.free))
+    draw = rng.integers(0, np.broadcast_to(layout, (count, layout.size))).astype(np.uint32)
+    r_a, r_b, coins, free = np.split(draw, [w, 2 * w, (2 + 2 * probes) * w], axis=1)
+    coins = coins.reshape(count, probes, 2, w)
+    rb_words, ra_words = coins[:, :, 0], coins[:, :, 1]
+
+    # each register's readout is its party's parities xor the measuring
+    # coin's: on the real coins the honest keys, on Eve's the probe outcomes
+    const = _int_bits([kf.const], kf.m)
+    own_a, own_b = _parity_bits(ech_a.words, r_a), _parity_bits(ech_b.words, r_b)
+    reg_a, reg_b = const ^ own_a, const ^ own_b
+    k_b, k_a = reg_a ^ own_b, reg_b ^ own_a
+    if (k_a != k_b).any():
+        raise AssertionError("interception must not disturb the honest keys")
+    alphas = reg_a[:, None] ^ _parity_bits(ech_b.words, rb_words)
+    betas = reg_b[:, None] ^ _parity_bits(ech_a.words, ra_words)
+
+    y_a = _probe_rhs(kf, ech_a, ech_b, alphas, rb_words)
+    y_b = _probe_rhs(kf, ech_b, ech_a, betas, ra_words)
+    r_star_a, r_star_b = _affine_picks(kf, y_a, y_b, free)
+    guesses = const ^ _parity_bits(ech_a.words, r_star_a) ^ _parity_bits(ech_b.words, r_star_b)
+    return _pack_bits(k_a), _pack_bits(guesses), r_star_a, r_star_b
+
+
 @dataclass(frozen=True)
 class NogoRate:
     rate: float
@@ -403,22 +527,33 @@ def attack_success_rate(proto: ClassicalKeyProtocol, trials: int,
     """Full pipeline repeated over fresh runs; enforces the guaranteed floor.
 
     Interception happens in transit, before the parties measure, and the
-    delivered registers are the very objects the attack handled.
+    delivered registers are the very objects the attack handled. Affine keys
+    run TRIAL_BLOCK trials at a time through ``_attack_block``: one draw
+    call per block, whose values and final generator state are those of the
+    per-trial calls, since each bound is a power of two at most 2^32 and
+    Lemire's bounded draw never rejects on those. Table keys stay per trial:
+    ``rng.choice`` over a candidate set takes a number of draws that depends
+    on the set.
     """
     hits = 0
-    for _ in range(trials):
-        r_a = proto.sample_randomness(rng)
-        r_b = proto.sample_randomness(rng)
-        payload_a = proto.prepare_payload("A", r_a)
-        payload_b = proto.prepare_payload("B", r_b)
-        state, payload_a, payload_b = eve_online(
-            proto, proto.public_part(r_a), proto.public_part(r_b), payload_a, payload_b, rng
-        )
-        k_b, payload_a = proto.measure_payload(payload_a, r_b)
-        k_a, payload_b = proto.measure_payload(payload_b, r_a)
-        if k_a != k_b:
-            raise AssertionError("interception must not disturb the honest keys")
-        hits += int(eve_offline(proto, state, rng) == k_a)
+    if proto.key_function.is_affine:
+        for start in range(0, trials, TRIAL_BLOCK):
+            keys, guesses, _, _ = _attack_block(proto, min(TRIAL_BLOCK, trials - start), rng)
+            hits += int((guesses == keys).all(axis=1).sum())
+    else:
+        for _ in range(trials):
+            r_a = proto.sample_randomness(rng)
+            r_b = proto.sample_randomness(rng)
+            payload_a = proto.prepare_payload("A", r_a)
+            payload_b = proto.prepare_payload("B", r_b)
+            state, payload_a, payload_b = eve_online(
+                proto, proto.public_part(r_a), proto.public_part(r_b), payload_a, payload_b, rng
+            )
+            k_b, payload_a = proto.measure_payload(payload_a, r_b)
+            k_a, payload_b = proto.measure_payload(payload_b, r_a)
+            if k_a != k_b:
+                raise AssertionError("interception must not disturb the honest keys")
+            hits += int(eve_offline(proto, state, rng) == k_a)
     rate = hits / trials
     stderr = (rate * (1 - rate) / trials) ** 0.5
     bound = nogo_bound(proto.r)

@@ -359,7 +359,11 @@ def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
 @lru_cache(maxsize=1024)  # bounded: any subset of up to 13 qubits may be measured
 def _measure_layout(n: int, qubits: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(perm, inverse) bringing the measured qubits forward, the rest following
-    in order; a density operator permutes its column qubits the same way."""
+    in order; a density operator permutes its column qubits the same way.
+    Qubits are range-checked here, on a cache miss only."""
+    for q in qubits:
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for a {n}-qubit state")
     perm = list(qubits) + [q for q in range(n) if q not in qubits]
     if ndim == 2:
         perm += [n + q for q in perm]

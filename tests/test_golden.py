@@ -29,6 +29,12 @@ full-rank and pure, up to dimension 16, and one of 64 labels on a qubit.
 six labels in dimension 8 whose first bracket misses the gap, so the longer
 ascent and the positive-part dual run.
 
+``nogo_attack_rates.txt`` pins ``nogo.attack_success_rate`` end to end: the
+``NogoRate`` repr and the generator's next draw for affine keys of one, two
+and three coin words, a rank-deficient one and a table key, at trial counts
+that fill some attack blocks only in part. Affine rates read 1.0, so it is
+the next draw that shows a change in how many draws a run takes.
+
 ``distinguisher_advantage.txt`` pins ``game.distinguisher_advantage`` at
 n = 2 for the ideal, toydh and broken schemes: the advantage's repr at fixed
 seeds, and the next draw of the generator afterwards, so a change in how many
@@ -67,6 +73,7 @@ from moeqkd.nogo import (
     ClassicalKeyProtocol,
     affine_hash_key_function,
     affine_key_function,
+    attack_success_rate,
     eve_offline,
     eve_online,
     table_key_function,
@@ -186,6 +193,34 @@ def attack_trace_wide() -> str:
     return _trace_lines(families, rng)
 
 
+ATTACK_TRIALS = (1, 64, 150, 400)
+
+
+def attack_rates_trace() -> str:
+    """One line per (key, trial count): the ``NogoRate`` repr and the
+    generator's next 63-bit draw."""
+    rng = np.random.default_rng(2029)
+    cols_a = [int(c) for c in rng.integers(0, 16, size=80)]
+    cols_b = [int(c) for c in rng.integers(0, 16, size=80)]
+    protos = [
+        ("xor_trunc", ClassicalKeyProtocol(xor_trunc_key_function(16, 4))),
+        ("affine_hash", ClassicalKeyProtocol(affine_hash_key_function(64, 4, rng))),
+        ("affine_hash", ClassicalKeyProtocol(affine_hash_key_function(64, 4, rng))),
+        ("affine_rank2", ClassicalKeyProtocol(
+            affine_key_function(10, 3, RANK2_COLS_A, RANK2_COLS_B, const=6), t_samples=3)),
+        ("affine", ClassicalKeyProtocol(affine_key_function(80, 4, cols_a, cols_b, const=9))),
+        ("table", ClassicalKeyProtocol(table_key_function(8, 2, rng), t_samples=2)),
+    ]
+    lines = []
+    for k, (name, proto) in enumerate(protos):
+        for trials in ATTACK_TRIALS:
+            rng = np.random.default_rng([k, trials])
+            res = attack_success_rate(proto, trials, rng)
+            lines.append(f"{name} r={proto.r} probes={proto.probes} trials={trials} "
+                         f"{res!r} next={int(rng.integers(2**63))}")
+    return "\n".join(lines) + "\n"
+
+
 def _random_qubit_state(rng) -> np.ndarray:
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = g @ g.conj().T
@@ -291,6 +326,7 @@ GENERATORS = {name: (lambda name=name: grid_csv(name)) for name in CSV_GRID}
 GENERATORS.update({name: (lambda name=name: transcript(name)) for name in TRANSCRIPTS})
 GENERATORS["nogo_attack_trace.txt"] = attack_trace
 GENERATORS["nogo_attack_trace_wide.txt"] = attack_trace_wide
+GENERATORS["nogo_attack_rates.txt"] = attack_rates_trace
 GENERATORS["extractor_distance.txt"] = extractor_distance_trace
 GENERATORS["pguess_brackets.txt"] = pguess_brackets_trace
 GENERATORS["pguess_fallback.txt"] = pguess_fallback_trace
@@ -323,6 +359,10 @@ def test_attack_trace_matches_golden():
 
 def test_wide_attack_trace_matches_golden():
     assert attack_trace_wide().encode() == (GOLDEN / "nogo_attack_trace_wide.txt").read_bytes()
+
+
+def test_attack_rates_match_golden():
+    assert attack_rates_trace().encode() == (GOLDEN / "nogo_attack_rates.txt").read_bytes()
 
 
 def test_extractor_distance_matches_golden():

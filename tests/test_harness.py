@@ -346,6 +346,18 @@ def test_cli_failing_row_exits_one(monkeypatch, capsys):
     assert capsys.readouterr().out.endswith(failing.as_csv_row() + "\n")
 
 
+def test_cli_failed_check_exits_one(monkeypatch, capsys):
+    # the attack's internal checks reach a user as an AssertionError
+    def broken(cfg):
+        raise AssertionError("observations came from a real run")
+
+    monkeypatch.setitem(_RUNNERS, "nogo", broken)
+    assert main(["nogo", "--seed", "5", "--r", "8", "--trials", "40"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "assertion failed: observations came from a real run\n"
+    assert captured.out == ""
+
+
 def test_cli_json_format_parses(capsys):
     code = main(["two-round", "--seed", "9", "--n", "1", "--m", "1",
                  "--trials", "30", "--format", "json"])

@@ -455,3 +455,106 @@ def test_tampered_observations_are_rejected(method):
             eve_offline(proto, bad, rng)
     assert eve_offline(proto, state, rng) == key
     assert state.method == method
+
+
+def per_trial_attack(proto, trials, rng):
+    """``attack_success_rate``'s per-trial loop: (r*_a, r*_b, guess, key) per trial."""
+    out = []
+    for _ in range(trials):
+        r_a, r_b, key, state = intercepted_run(proto, rng)
+        guess = eve_offline(proto, state, rng)
+        out.append((state.r_star_a, state.r_star_b, guess, key))
+    return out
+
+
+def blocked_attack(proto, trials, rng):
+    """The same trials through ``_attack_block``, TRIAL_BLOCK at a time."""
+    out = []
+    for start in range(0, trials, nogo.TRIAL_BLOCK):
+        keys, guesses, r_star_a, r_star_b = nogo._attack_block(
+            proto, min(nogo.TRIAL_BLOCK, trials - start), rng)
+        out += zip(*(nogo._join_words(c) for c in (r_star_a, r_star_b, guesses, keys)))
+    return out
+
+
+@st.composite
+def block_cases(draw):
+    r = draw(st.integers(1, 80))
+    m = draw(st.integers(1, r))
+    # columns from the span of at most m vectors: rank-deficient maps too
+    basis = draw(st.lists(st.integers(0, 2**m - 1), min_size=0, max_size=m))
+    const = draw(st.integers(0, 2**m - 1))
+    probes = draw(st.one_of(st.none(), st.integers(1, 6)))
+    return r, m, basis, const, probes, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 130))
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_cases())
+def test_attack_blocks_match_per_trial_calls(case):
+    r, m, basis, const, probes, seed, trials = case
+    rng = np.random.default_rng(seed)
+
+    def column():
+        c = 0
+        for v, pick in zip(basis, rng.integers(0, 2, size=len(basis))):
+            c ^= v * int(pick)
+        return c
+
+    cols_a = [column() for _ in range(r)]
+    cols_b = [column() for _ in range(r)]
+    proto = ClassicalKeyProtocol(affine_key_function(r, m, cols_a, cols_b, const), t_samples=probes)
+    loop_rng, block_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    by_loop = per_trial_attack(proto, trials, loop_rng)
+    by_block = blocked_attack(proto, trials, block_rng)
+    assert by_block == by_loop
+    assert all(guess == key for _, _, guess, key in by_block)
+    assert block_rng.bit_generator.state == loop_rng.bit_generator.state
+    res = attack_success_rate(proto, trials, np.random.default_rng(seed + 1))
+    assert res.rate == 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 32), min_size=1, max_size=40), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_one_draw_call_is_the_scalar_draws(exponents, rows, seed):
+    # the attack blocks rest on numpy drawing an array of power-of-two bounds
+    # up to 2^32 element by element, with no rejection; if a numpy release
+    # changes that, this fails before the golden rates do
+    bounds = [1 << e for e in exponents]
+    batch, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    values = batch.integers(0, np.broadcast_to(bounds, (rows, len(bounds))))
+    assert values.ravel().tolist() == [int(scalar.integers(0, b)) for _ in range(rows) for b in bounds]
+    assert batch.bit_generator.state == scalar.bit_generator.state
+
+
+def block_outcomes(kf, trials, rng):
+    """A block's left-side probe outcomes as bits, with the coins behind them."""
+    coins = nogo._draw_words(rng, kf.r, trials * 4).reshape(trials, 4, -1)
+    r_a = nogo._draw_words(rng, kf.r, trials)
+    own = nogo._parity_bits(kf.echelon_a.words, r_a) ^ nogo._int_bits([kf.const], kf.m)
+    return own[:, None] ^ nogo._parity_bits(kf.echelon_b.words, coins), coins, r_a
+
+
+def test_block_checks_reject_tampered_trials():
+    rng = np.random.default_rng(57)
+    kf = rank2_key_function(rng)
+    outcomes, coins, r_a = block_outcomes(kf, 9, rng)
+    y = nogo._probe_rhs(kf, kf.echelon_a, kf.echelon_b, outcomes, coins)
+    assert nogo._join_words(y) == [nogo._parities(kf.rows_a, x) for x in nogo._join_words(r_a)]
+    inconsistent, outside = outcomes.copy(), outcomes.copy()
+    inconsistent[4, 2, 1] ^= 1
+    outside[7, :, 0] ^= 1  # every probe of one trial, by an odd-parity vector
+    for bad in (inconsistent, outside):
+        with pytest.raises(AssertionError, match="real run"):
+            nogo._probe_rhs(kf, kf.echelon_a, kf.echelon_b, bad, coins)
+
+
+def test_offline_rejects_outcomes_wider_than_the_key():
+    rng = np.random.default_rng(58)
+    proto = ClassicalKeyProtocol(rank2_key_function(rng))
+    _, _, key, state = intercepted_run(proto, rng)
+    for bad in (replace(state, alphas=tuple(a | 8 for a in state.alphas)),
+                replace(state, betas=state.betas[:-1] + (state.betas[-1] | 16,))):
+        with pytest.raises(AssertionError, match="real run"):
+            eve_offline(proto, bad, rng)
+    assert eve_offline(proto, state, rng) == key

@@ -403,6 +403,14 @@ def test_measurement_marginals_match_born_rule():
     assert np.abs(counts / trials - probs).max() < 0.035
 
 
+@pytest.mark.parametrize("qubit", [5, -1, 2])
+def test_measurement_rejects_out_of_range_qubits(qubit):
+    psi = q.epr_block_state(1)
+    for state in (psi, np.outer(psi, psi.conj())):
+        with pytest.raises(ValueError, match=f"qubit {qubit} out of range for a 2-qubit state"):
+            q.measure_in_theta_basis(state, [qubit], (0,), np.random.default_rng(0))
+
+
 def _rotate_reference(state, qubits, theta):
     """H on each theta-1 qubit by the per-qubit tensordot/moveaxis route."""
     h = q.HADAMARD

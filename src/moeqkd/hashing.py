@@ -5,13 +5,13 @@ The universal family is h_{a,b}(x) = first ell bits (most significant, in the
 polynomial-basis encoding) of a*x + b, with arithmetic in GF(2^n). Field
 elements are ints; bit i of the int is the coefficient of x^i.
 
-``gf_mul_table(n)`` is the one GF(2^n) product kernel: every product a*z at
-once, built lazily per n <= MAX_DISTANCE_BITS by the doubling step (a*z is
-linear in a and in z over GF(2)) and returned read-only. The exact collision
-counts, the extractor distance and the exact protocol distances read their
-products from it; above MAX_DISTANCE_BITS the collision count builds the one
-column it needs by the same step. ``gf_mul`` and ``uh_eval`` stay the scalar
-definitions for single products.
+Every product reads one doubling kernel, ``gf_powers(n, a, count)``: the terms
+a*x^i, each the previous one shifted and reduced. ``gf_mul`` (and ``uh_eval``)
+xors them over the set bits of the other factor; ``gf_mul_table(n)``, built
+lazily per n <= MAX_DISTANCE_BITS and read-only, spans every a*z from them,
+as a*z is linear in a and z over GF(2). The exact collision counts, extractor
+distance and protocol distances read the table; above MAX_DISTANCE_BITS the
+collision count spans the one column it needs.
 """
 
 from __future__ import annotations
@@ -82,27 +82,27 @@ def _require_element(n: int, v: int, name: str) -> None:
         raise ValueError(f"{name}={v} is not a GF(2^{n}) element")
 
 
-def clmul(a: int, b: int) -> int:
-    """Carry-less product of two nonnegative ints."""
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
+def gf_powers(n: int, a: int, count: int) -> list[int]:
+    """[a*x^i for i < count] in GF(2^n), each term the previous one shifted
+    up a bit and reduced by the recorded polynomial."""
+    poly = _require_field(n)
+    _require_element(n, a, "a")
+    out = []
+    for _ in range(count):
+        out.append(a)
+        a = (a << 1) ^ (poly if a >> (n - 1) else 0)
     return out
 
 
 def gf_mul(n: int, a: int, b: int) -> int:
-    """Product in GF(2^n) under the recorded reduction polynomial."""
-    poly = _require_field(n)
-    _require_element(n, a, "a")
+    """Product in GF(2^n): the xor of a*x^i over the set bits i of b."""
+    terms = gf_powers(n, a, n)
     _require_element(n, b, "b")
-    p = clmul(a, b)
-    for i in range(p.bit_length() - 1, n - 1, -1):
-        if (p >> i) & 1:
-            p ^= poly << (i - n)
-    return p
+    out = 0
+    for i, term in enumerate(terms):
+        if b >> i & 1:
+            out ^= term
+    return out
 
 
 def uh_eval(n: int, ell: int, seed: tuple[int, int], x: int) -> int:
@@ -135,7 +135,7 @@ def _xor_span(basis: np.ndarray) -> np.ndarray:
 
 def _products_with_all_a(n: int, z: int) -> np.ndarray:
     """Column z of the product table: a*z over all a in GF(2^n)."""
-    return _xor_span(np.array([gf_mul(n, 1 << i, z) for i in range(n)], dtype=np.uint16))
+    return _xor_span(np.array(gf_powers(n, z, n), dtype=np.uint16))
 
 
 @cache

@@ -90,7 +90,9 @@ class IdealNike:
         if their_id == my_id:
             return None
         pp, my_pk = my_sk
-        master = self._masters[pp[2]]
+        master = self._masters.get(pp[2])
+        if master is None:
+            raise ValueError("unknown public parameters")
         lo, hi = sorted((their_pk, my_pk))
         digest = hashlib.sha256(master + lo.encode() + hi.encode()).digest()
         value = int.from_bytes(digest[:8], "big") >> (64 - self.n)

@@ -12,10 +12,14 @@ guaranteed floor on the guess rate is ``1/3 - 2*(8/9)**r``; the concrete
 families implemented here are all crackable outright.
 
 Coins are drawn and probed as 32-bit words, one draw call and one
-``np.bitwise_count`` pass per probe block. For affine keys every probe of a
+``np.bitwise_count`` pass per probe block. An affine key has one kernel per
+GF concept: its columns come from one ``hashing.gf_powers`` sequence, each
+side's row masks M are reduced once (``RowEchelon.of``, in the pivot order
+that side's offline pick needs), and ``_readouts`` reads the registers for
+the honest keys, the probe outcomes and the guesses. Every probe of a
 register implies the same equation M·c = y, so the offline phase is closed
-form over the echelon forms each ``KeyFunction`` derives once; table keys,
-at most MAX_TABLE_BITS wide, enumerate all 2^r candidates instead.
+form over the echelon forms; table keys, at most MAX_TABLE_BITS wide,
+enumerate all 2^r candidates instead.
 
 ``attack_success_rate`` runs affine trials TRIAL_BLOCK at a time, each block
 from one draw call that lays out, trial by trial, what the per-trial calls
@@ -37,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hashing import REDUCTION_POLY, gf_mul
+from .hashing import REDUCTION_POLY, gf_powers
 
 MAX_TABLE_BITS = 12
 T_FACTOR = 2  # online probes per randomness bit
@@ -113,7 +117,7 @@ def _parity_bits(row_words: np.ndarray, words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(folded) & 1
 
 
-def _reduce_rows(rows, lowest: bool = False) -> tuple[dict[int, tuple[int, int]], list[int]]:
+def _reduce_rows(rows, lowest: bool) -> tuple[dict[int, tuple[int, int]], list[int]]:
     """Gauss-Jordan elimination over GF(2) on each row's top (or lowest) bit.
 
     Returns {pivot: (row, combo)}, where no row holds another's pivot and
@@ -139,56 +143,44 @@ def _reduce_rows(rows, lowest: bool = False) -> tuple[dict[int, tuple[int, int]]
     return reduced, null
 
 
-class PivotMasks(NamedTuple):
-    """A reduced echelon form as word masks, one row per pivot column: the
-    reduced rows (r bits) and their combos (m bits)."""
-
-    cols: list[int]
-    rows: np.ndarray
-    combos: np.ndarray
-
-    @classmethod
-    def of(cls, reduced: dict[int, tuple[int, int]], r: int, m: int) -> PivotMasks:
-        return cls(list(reduced), _int_words([row for row, _ in reduced.values()], r),
-                   _int_words([combo for _, combo in reduced.values()], m))
-
-
-def _echelon_solve(piv: PivotMasks, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _echelon_solve(ech: RowEchelon, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Complete ``x``, bits that are 0 on the pivots, to solutions of M·x = y,
     one per row of ``y``'s words: pivot bit p becomes the parity of
     combo_p & y xor that of row_p & x. Returns the solutions as words."""
-    bits = _parity_bits(piv.combos, y)
+    bits = _parity_bits(ech.combos, y)
     if x.any():
-        bits ^= _parity_bits(piv.rows, _pack_bits(x))
-    x[..., piv.cols] = bits
+        bits ^= _parity_bits(ech.rows, _pack_bits(x))
+    x[..., ech.cols] = bits
     return _pack_bits(x)
 
 
 class RowEchelon(NamedTuple):
-    """One side's row masks M, as uint32 words and in reduced echelon form.
+    """One side's row masks M as uint32 words, and M's reduced echelon form
+    as word masks, one row per pivot column: the reduced rows (r bits) and
+    their combos (m bits). ``null`` holds the relations among M's rows as
+    m-bit words; they do not depend on the pivot order.
 
-    ``top`` pivots on top bits, as {pivot: (row, combo)}: drawing its
-    ``free`` columns and solving gives a uniform solution. ``low_masks``
-    pivots on lowest bits: a column that is no row combination's lowest bit
-    can always be 0, so solving with no free bits set gives the smallest
+    ``lowest`` sets the pivot order, and with it the pick ``_echelon_solve``
+    makes. On top bits, drawing the free columns uniformly gives a uniform
+    solution. On lowest bits, a column that is no row combination's lowest
+    bit can always be 0, so solving with no free bits set gives the smallest
     solution, the xor of the unit vectors at the pivots whose combo has odd
-    parity with y. ``_echelon_solve`` reads ``top_masks`` and ``low_masks``;
-    ``null`` holds the relations among the rows as m-bit words.
+    parity with y.
     """
 
     words: np.ndarray
-    top: dict[int, tuple[int, int]]
-    free: tuple[int, ...]
-    top_masks: PivotMasks
-    low_masks: PivotMasks
+    cols: list[int]
+    rows: np.ndarray
+    combos: np.ndarray
     null: np.ndarray
 
     @classmethod
-    def of(cls, rows: tuple[int, ...], r: int) -> RowEchelon:
-        (top, null), (low, _) = _reduce_rows(rows), _reduce_rows(rows, lowest=True)
+    def of(cls, rows: tuple[int, ...], r: int, lowest: bool) -> RowEchelon:
+        reduced, null = _reduce_rows(rows, lowest)
         m = len(rows)
-        return cls(_int_words(rows, r), top, tuple(j for j in range(r) if j not in top),
-                   PivotMasks.of(top, r, m), PivotMasks.of(low, r, m), _int_words(null, m))
+        return cls(_int_words(rows, r), list(reduced),
+                   _int_words([row for row, _ in reduced.values()], r),
+                   _int_words([combo for _, combo in reduced.values()], m), _int_words(null, m))
 
 
 def _columns_to_rows(r: int, m: int, cols) -> tuple[int, ...]:
@@ -237,8 +229,10 @@ class KeyFunction:
                     raise ValueError("row masks must fit in r bits")
             if not 0 <= self.const < 1 << self.m:
                 raise ValueError("const must fit in m bits")
-            object.__setattr__(self, "echelon_a", RowEchelon.of(self.rows_a, self.r))
-            object.__setattr__(self, "echelon_b", RowEchelon.of(self.rows_b, self.r))
+            # each side pivots in the order its offline pick needs: the
+            # uniform left pick on top bits, the smallest right pick on lowest
+            object.__setattr__(self, "echelon_a", RowEchelon.of(self.rows_a, self.r, lowest=False))
+            object.__setattr__(self, "echelon_b", RowEchelon.of(self.rows_b, self.r, lowest=True))
         elif self.table.shape != (2**self.r, 2**self.r):
             raise ValueError("table shape must be 2^r by 2^r")
 
@@ -272,9 +266,9 @@ def affine_hash_key_function(r: int, m: int, rng: np.random.Generator) -> KeyFun
         a = _rand_bits(rng, 2 * r)
     b = _rand_bits(rng, 2 * r)
     shift = 2 * r - m
-    cols_a = tuple(gf_mul(2 * r, a, 1 << (r + j)) >> shift for j in range(r))
-    cols_b = tuple(gf_mul(2 * r, a, 1 << j) >> shift for j in range(r))
-    return _affine("affine_hash", r, m, cols_a, cols_b, b >> shift, a_seed=a, b_seed=b)
+    # input bit j of the right coin is x^j, of the left coin x^(r+j)
+    cols = [p >> shift for p in gf_powers(2 * r, a, 2 * r)]
+    return _affine("affine_hash", r, m, cols[r:], cols[:r], b >> shift, a_seed=a, b_seed=b)
 
 
 def affine_key_function(r: int, m: int, cols_a, cols_b, const: int = 0) -> KeyFunction:
@@ -347,10 +341,19 @@ class ClassicalKeyProtocol:
             coins = _join_words(words)
             outcomes = kf.table[hidden, coins] if payload.party == "A" else kf.table[coins, hidden]
             return outcomes.tolist(), payload
-        own, other = (kf.rows_a, kf.echelon_b) if payload.party == "A" else (kf.rows_b, kf.echelon_a)
-        base = kf.const ^ _parities(own, hidden)
-        parities = _join_words(_pack_bits(_parity_bits(other.words, words)))
-        return [base ^ p for p in parities], payload
+        bits = _readouts(kf, payload.party, _int_words([hidden], kf.r), words)
+        return _join_words(_pack_bits(bits)), payload
+
+
+def _readouts(kf: KeyFunction, party: str, hidden_words: np.ndarray,
+              coin_words: np.ndarray) -> np.ndarray:
+    """The vector form of ``measure_payload`` on an affine key, as bits:
+    const ^ parities(hidden coin) ^ parities(counterpart coin), each coin
+    under its own party's rows. Coins are words on the last axis; the
+    leading axes broadcast."""
+    own, other = (kf.echelon_a, kf.echelon_b) if party == "A" else (kf.echelon_b, kf.echelon_a)
+    return (_int_bits([kf.const], kf.m) ^ _parity_bits(own.words, hidden_words)
+            ^ _parity_bits(other.words, coin_words))
 
 
 def run_toy_protocol(proto: ClassicalKeyProtocol, rng: np.random.Generator):
@@ -431,9 +434,9 @@ def _affine_picks(kf: KeyFunction, y_a: np.ndarray, y_b: np.ndarray,
     M_a·x = y_a with the drawn bits ``free`` on its free columns, and the
     smallest solution of M_b·x = y_b."""
     x_a = np.zeros(free.shape[:-1] + (kf.r,), dtype=np.uint8)
-    x_a[..., list(kf.echelon_a.free)] = free
-    return (_echelon_solve(kf.echelon_a.top_masks, y_a, x_a),
-            _echelon_solve(kf.echelon_b.low_masks, y_b, np.zeros_like(x_a)))
+    x_a[..., [j for j in range(kf.r) if j not in kf.echelon_a.cols]] = free
+    return (_echelon_solve(kf.echelon_a, y_a, x_a),
+            _echelon_solve(kf.echelon_b, y_b, np.zeros_like(x_a)))
 
 
 def eve_offline(proto: ClassicalKeyProtocol, state: AttackState, rng: np.random.Generator) -> int:
@@ -454,7 +457,7 @@ def eve_offline(proto: ClassicalKeyProtocol, state: AttackState, rng: np.random.
         alphas, betas = (_int_bits(out, kf.m)[None] for out in (state.alphas, state.betas))
         y_a = _probe_rhs(kf, ech_a, ech_b, alphas, state.rb_words[None])
         y_b = _probe_rhs(kf, ech_b, ech_a, betas, state.ra_words[None])
-        free = rng.integers(0, 2, size=(1, len(ech_a.free)))
+        free = rng.integers(0, 2, size=(1, kf.r - len(ech_a.cols)))
         picks = _affine_picks(kf, y_a, y_b, free)
         state.r_star_a, state.r_star_b = (_join_words(x)[0] for x in picks)
     else:
@@ -481,35 +484,30 @@ def _attack_block(proto: ClassicalKeyProtocol, count: int,
 
     One draw call yields, per trial, what the loop draws in turn: R_A's and
     R_B's words, the probe coins in ``eve_online``'s order and the free bits
-    ``eve_offline`` draws. Every bound is a power of two at most 2^32, so
-    each value takes one 32-bit output and the values and the generator state
-    equal those of the per-trial calls.
+    ``eve_offline`` draws (the module docstring says why that is exact).
     """
     kf = proto.key_function
     ech_a, ech_b = kf.echelon_a, kf.echelon_b
     bounds, probes = _word_bounds(kf.r), proto.probes
     w = len(bounds)
-    layout = np.array(bounds * (2 + 2 * probes) + [2] * len(ech_a.free))
+    layout = np.array(bounds * (2 + 2 * probes) + [2] * (kf.r - len(ech_a.cols)))
     draw = rng.integers(0, np.broadcast_to(layout, (count, layout.size))).astype(np.uint32)
     r_a, r_b, coins, free = np.split(draw, [w, 2 * w, (2 + 2 * probes) * w], axis=1)
     coins = coins.reshape(count, probes, 2, w)
     rb_words, ra_words = coins[:, :, 0], coins[:, :, 1]
 
-    # each register's readout is its party's parities xor the measuring
-    # coin's: on the real coins the honest keys, on Eve's the probe outcomes
-    const = _int_bits([kf.const], kf.m)
-    own_a, own_b = _parity_bits(ech_a.words, r_a), _parity_bits(ech_b.words, r_b)
-    reg_a, reg_b = const ^ own_a, const ^ own_b
-    k_b, k_a = reg_a ^ own_b, reg_b ^ own_a
+    # the registers read with the real coins give the honest keys, with
+    # Eve's the probe outcomes
+    k_b, k_a = _readouts(kf, "A", r_a, r_b), _readouts(kf, "B", r_b, r_a)
     if (k_a != k_b).any():
         raise AssertionError("interception must not disturb the honest keys")
-    alphas = reg_a[:, None] ^ _parity_bits(ech_b.words, rb_words)
-    betas = reg_b[:, None] ^ _parity_bits(ech_a.words, ra_words)
+    alphas = _readouts(kf, "A", r_a[:, None], rb_words)
+    betas = _readouts(kf, "B", r_b[:, None], ra_words)
 
     y_a = _probe_rhs(kf, ech_a, ech_b, alphas, rb_words)
     y_b = _probe_rhs(kf, ech_b, ech_a, betas, ra_words)
     r_star_a, r_star_b = _affine_picks(kf, y_a, y_b, free)
-    guesses = const ^ _parity_bits(ech_a.words, r_star_a) ^ _parity_bits(ech_b.words, r_star_b)
+    guesses = _readouts(kf, "A", r_star_a, r_star_b)
     return _pack_bits(k_a), _pack_bits(guesses), r_star_a, r_star_b
 
 
@@ -528,12 +526,8 @@ def attack_success_rate(proto: ClassicalKeyProtocol, trials: int,
 
     Interception happens in transit, before the parties measure, and the
     delivered registers are the very objects the attack handled. Affine keys
-    run TRIAL_BLOCK trials at a time through ``_attack_block``: one draw
-    call per block, whose values and final generator state are those of the
-    per-trial calls, since each bound is a power of two at most 2^32 and
-    Lemire's bounded draw never rejects on those. Table keys stay per trial:
-    ``rng.choice`` over a candidate set takes a number of draws that depends
-    on the set.
+    run TRIAL_BLOCK trials at a time through ``_attack_block``, table keys
+    one trial at a time, as the module docstring sets out.
     """
     hits = 0
     if proto.key_function.is_affine:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from moeqkd import entropy
 from moeqkd.entropy import (
     ChainRuleResult,
     CqEnsemble,
@@ -197,6 +198,20 @@ def test_chain_rule_on_random_instances():
         if not res.decided:
             # brackets overlapped only because the instance sits on the boundary
             assert res.lhs_bits[1] >= res.rhs_bits[0] - 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("lhs, holds, decided", [((0.2, 0.4), False, True),
+                                                  ((0.5, 1.5), True, False)])
+def test_chain_rule_reports_refuted_and_undecided_brackets(monkeypatch, lhs, holds, decided):
+    # stand-in brackets reach the returns no honest ensemble does: with
+    # H(A|B) = 2 and a one-bit budget, [0.2, 0.4] refutes the chain rule
+    # and [0.5, 1.5] straddles its threshold
+    brackets = iter([lhs, (2.0, 2.0)])
+    monkeypatch.setattr(entropy, "hmin", lambda ensemble: next(brackets))
+    ens = CqEnsemble([0, 1], np.array([0.5, 0.5]), [np.eye(4) / 4] * 2)
+    res = chain_rule_check(ens, z_dim=2)
+    assert (res.holds, res.decided) == (holds, decided)
+    assert (res.lhs_bits, res.rhs_bits) == (lhs, (2.0, 2.0))
 
 
 def test_chain_rule_rejects_bad_factorization():

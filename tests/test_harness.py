@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from moeqkd import harness
 from moeqkd.cli import main
 from moeqkd.harness import (
     _RUNNERS,
@@ -263,6 +264,24 @@ def test_nogo_rejects_unknown_kind():
 def test_lemmas_battery_passes():
     for rec in run(RunConfig("lemmas", seed=11, trials=40)):
         assert rec.passed, rec
+
+
+def test_lemmas_counts_a_failed_decomposition(monkeypatch):
+    # decomposition_terms raises ValueError on a violated certificate; the
+    # battery counts that check as failed instead of stopping
+    real, calls = harness.decomposition_terms, []
+
+    def fail_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise ValueError("sum route off by more than 1e-9")
+        return real(*args)
+
+    monkeypatch.setattr(harness, "decomposition_terms", fail_first)
+    rows = {rec.metric: rec for rec in run(RunConfig("lemmas", seed=11, trials=40))}
+    row = rows["decomposition_pass_rate"]
+    assert len(calls) == 10
+    assert row.value == 9 / 10 and not row.passed
 
 
 def test_entropy_battery_passes():

@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moeqkd import hashing as hx
 
@@ -28,6 +30,51 @@ def test_gf_mul_known_values():
     # multiplying by 1 is the identity; by 0 annihilates
     assert hx.gf_mul(8, 0xAB, 1) == 0xAB
     assert hx.gf_mul(8, 0xAB, 0) == 0
+
+
+def clmul_reduce(n, a, b):
+    """Reference product: carry-less multiply, then cancel the bits above
+    x^(n-1) from the top down with shifted copies of the polynomial."""
+    poly, p = hx.REDUCTION_POLY[n], 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            p ^= a << i
+    for i in range(p.bit_length() - 1, n - 1, -1):
+        if p >> i & 1:
+            p ^= poly << (i - n)
+    return p
+
+
+@pytest.mark.parametrize("n", sorted(hx.REDUCTION_POLY))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_gf_mul_matches_carry_less_reference(n, data):
+    element = st.integers(0, 2**n - 1)
+    a, b = data.draw(element, label="a"), data.draw(element, label="b")
+    assert hx.gf_mul(n, a, b) == clmul_reduce(n, a, b)
+    # the doubling kernel's terms are the products with the unit elements
+    powers = hx.gf_powers(n, a, n)
+    assert powers == [hx.gf_mul(n, a, 1 << i) for i in range(n)]
+    assert powers == [clmul_reduce(n, a, 1 << i) for i in range(n)]
+
+
+def test_gf_powers_keep_doubling_and_check_their_inputs():
+    # x^i for i < 2n: past x^(n-1) each term is the reduced previous one
+    powers = hx.gf_powers(8, 1, 16)
+    assert powers[:8] == [1 << i for i in range(8)]
+    assert powers[8:] == [clmul_reduce(8, 1, 1 << i) for i in range(8, 16)]
+    assert hx.gf_powers(128, 3, 0) == []
+    with pytest.raises(ValueError, match="no reduction polynomial"):
+        hx.gf_powers(33, 1, 4)
+    with pytest.raises(ValueError, match="a=16"):
+        hx.gf_powers(4, 16, 4)
+    # gf_mul checks the field, then a, then b
+    with pytest.raises(ValueError, match="no reduction polynomial"):
+        hx.gf_mul(33, 1 << 40, 1 << 40)
+    with pytest.raises(ValueError, match="a=16"):
+        hx.gf_mul(4, 16, 16)
+    with pytest.raises(ValueError, match="b=16"):
+        hx.gf_mul(4, 15, 16)
 
 
 def test_gf_field_axioms_randomized():

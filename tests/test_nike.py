@@ -81,7 +81,7 @@ def test_ideal_public_tuple_is_opaque():
     # a second instance holding no master secret cannot derive from the same publics
     other = IdealNike(2)
     sk_fake = (pp, pk_a)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown public parameters"):
         other.sdk(IDENTITY_B, pk_b, IDENTITY_A, sk_fake)
 
 
@@ -98,6 +98,9 @@ def test_ideal_masters_stay_within_cap():
     assert theta is not None and theta == scheme.sdk(IDENTITY_A, pk_a, IDENTITY_B, sk_b)
     with pytest.raises(ValueError, match="unknown public parameters"):
         scheme.gen(first, IDENTITY_A, rng)
+    # a secret key made under an evicted handle fails the same way in sdk
+    with pytest.raises(ValueError, match="unknown public parameters"):
+        scheme.sdk(IDENTITY_B, pk_b, IDENTITY_A, (first, pk_a))
 
 
 def test_toydh_theta_recomputable_from_logged_randomness():

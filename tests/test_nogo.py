@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import moeqkd.nogo as nogo
@@ -295,6 +295,22 @@ def test_affine_hash_matches_field_arithmetic():
         assert kf.value(ra, rb) == direct
 
 
+@pytest.mark.parametrize("r", [8, 16, 64])
+def test_affine_hash_rows_are_products_with_unit_inputs(r):
+    # input bit j of the right coin is x^j and of the left coin x^(r+j); its
+    # column is the top m bits of a*x^j, and row o collects bit o of each
+    m, n = 4, 2 * r
+    kf = affine_hash_key_function(r, m, np.random.default_rng(r))
+    shift = n - m
+
+    def rows(offset):
+        cols = [gf_mul(n, kf.a_seed, 1 << (offset + j)) >> shift for j in range(r)]
+        return tuple(sum((c >> o & 1) << j for j, c in enumerate(cols)) for o in range(m))
+
+    assert kf.rows_a == rows(r) and kf.rows_b == rows(0)
+    assert kf.const == kf.b_seed >> shift
+
+
 def test_guaranteed_floor_values():
     assert nogo_bound(12) == 0.0
     assert nogo_bound(16) > 0.0
@@ -415,7 +431,7 @@ def test_closed_form_offline_matches_row_reduction(case):
     sys_a = oracle_system(kf, kf.rows_a, kf.rows_b, state.sampled_rb, state.alphas)
     sys_b = oracle_system(kf, kf.rows_b, kf.rows_a, state.sampled_ra, state.betas)
     assert sys_a is not None and sys_b is not None
-    assert sorted(sys_a.pivots) == sorted(kf.echelon_a.top)
+    assert sorted(sys_a.pivots) == sorted(kf.echelon_a.cols)
     closed_rng, oracle_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     guess = eve_offline(proto, state, closed_rng)
     assert state.r_star_a == sys_a.sample_uniform(oracle_rng)
@@ -432,7 +448,7 @@ def rank2_key_function(rng):
     cols_a = even[rng.integers(0, 4, size=10)].tolist()
     cols_b = even[rng.integers(0, 4, size=10)].tolist()
     kf = affine_key_function(10, 3, cols_a, cols_b, const=6)
-    assert len(kf.echelon_a.top) == len(kf.echelon_b.top) == 2
+    assert len(kf.echelon_a.cols) == len(kf.echelon_b.cols) == 2
     return kf
 
 
@@ -558,3 +574,43 @@ def test_offline_rejects_outcomes_wider_than_the_key():
         with pytest.raises(AssertionError, match="real run"):
             eve_offline(proto, bad, rng)
     assert eve_offline(proto, state, rng) == key
+
+
+def span_column(basis, picks):
+    """The xor of the basis vectors that ``picks`` selects."""
+    c = 0
+    for v, pick in zip(basis, picks):
+        c ^= v * pick
+    return c
+
+
+@st.composite
+def readout_cases(draw):
+    r = draw(st.integers(1, 80))
+    m = draw(st.integers(1, min(r, 8)))
+    # columns from the span of at most m vectors: rank-deficient maps too
+    basis = draw(st.lists(st.integers(0, 2**m - 1), max_size=m))
+    return r, m, basis, draw(st.integers(1, 20)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@example((80, 5, [3, 17, 30], 12, 80))  # three words per coin, rank 3 of 5
+@given(readout_cases())
+def test_readouts_match_key_values(case):
+    r, m, basis, count, seed = case
+    rng = np.random.default_rng(seed)
+    cols_a, cols_b = ([span_column(basis, p) for p in side]
+                      for side in rng.integers(0, 2, size=(2, r, len(basis))).tolist())
+    kf = affine_key_function(r, m, cols_a, cols_b, const=int(rng.integers(0, 2**m)))
+    hidden = nogo._draw_words(rng, r, 2)
+    coins = nogo._draw_words(rng, r, 2 * count).reshape(2, count, -1)
+    (ra, rb), others = nogo._join_words(hidden), [nogo._join_words(c) for c in coins]
+    expected = {"A": [kf.value(ra, c) for c in others[0]],
+                "B": [kf.value(c, rb) for c in others[1]]}
+    for party, h, c in (("A", hidden[:1], coins[0]), ("B", hidden[1:], coins[1])):
+        bits = nogo._readouts(kf, party, h, c)
+        assert bits.shape == (count, m)
+        assert nogo._join_words(nogo._pack_bits(bits)) == expected[party]
+    # one hidden coin per row, as the block reads honest keys and guesses
+    assert nogo._join_words(nogo._pack_bits(nogo._readouts(kf, "A", hidden[:1], hidden[1:]))) \
+        == [kf.value(ra, rb)]

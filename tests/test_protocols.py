@@ -172,6 +172,54 @@ def test_weak_report_swap_broken_hits_closed_form():
     assert abs(rows["eve_guess_rate"].value - 7 / 16) <= 4 * sigma
 
 
+ADVERSARIES = {"swap_epr": swap_epr_attack, "entangling_relay": entangling_relay_adversary,
+               "measure_resend": measure_resend_adversary}
+SCHEMES = {"ideal": IdealNike, "broken": BrokenNike}
+
+
+def closed_forms():
+    """(scheme, adversary, n) -> exact (pguess, agree_rate).
+
+    Against the swap channel the parties agree with probability 2^-n, and a
+    disagreeing key is redrawn uniformly, so any guess wins it with 2^-n. On
+    agreement the adversary wins cos^2n(pi/8) when theta is hidden (the
+    optimal value of the BB84 monogamy game) and 1 when the broken scheme
+    publishes it. The relay and measure channels give 3/4 and 1/2 with
+    either scheme, and agreement (3/4)^n.
+    """
+    from sympy import Rational, cos, pi, simplify, sqrt
+
+    forms = {}
+    for n in (1, 2):
+        agree = Rational(1, 2**n)
+        hidden = agree * cos(pi / 8) ** (2 * n) + (1 - agree) * agree
+        forms["ideal", "swap_epr", n] = (hidden, agree)
+        forms["broken", "swap_epr", n] = (agree + (1 - agree) * agree, agree)
+        for scheme, adversary in product(SCHEMES, ("entangling_relay", "measure_resend")):
+            forms[scheme, adversary, n] = (Rational(3, 4) if n == 1 else Rational(1, 2),
+                                           Rational(3, 4) ** n)
+    quoted = {("ideal", 1): (4 + sqrt(2)) / 8, ("ideal", 2): (9 + 2 * sqrt(2)) / 32,
+              ("broken", 1): Rational(3, 4), ("broken", 2): Rational(7, 16)}
+    for (scheme, n), value in quoted.items():
+        assert simplify(forms[scheme, "swap_epr", n][0] - value) == 0
+    return forms
+
+
+def test_weak_reports_match_closed_forms():
+    forms = closed_forms()
+    assert len(forms) == 12
+    for (scheme, adversary, n), (pguess, agree) in forms.items():
+        rep = weak_security_report(SCHEMES[scheme](n), n, ADVERSARIES[adversary](n),
+                                   np.random.default_rng(20))
+        value = float(pguess.evalf(30))
+        case = (scheme, adversary, n)
+        assert rep.bracket.lower - 1e-12 <= value <= rep.bracket.upper + 1e-12, case
+        assert abs(rep.agree_rate - float(agree)) <= 1e-12, case
+    # criterion 08's value: 5 - log2(9 + 2*sqrt(2)) bits
+    assert abs(-log2(float(forms["ideal", "swap_epr", 2][0].evalf(30)))
+               - (5 - log2(9 + 2 * 2**0.5))) <= 1e-14
+
+
 def test_weak_report_measure_resend_closed_form():
     # stored computational-basis outcomes pin the key exactly on the pairs
     # measured in the matching basis: per pair, agreement (1 + 1/2)/2 = 3/4;

@@ -73,8 +73,10 @@ class IdealNike:
         self._masters: dict[str, bytes] = {}
 
     def setup(self, rng: np.random.Generator) -> tuple:
-        handle = _hex_token(rng)
-        self._masters[handle] = rng.integers(0, 256, size=32).astype(np.uint8).tobytes()
+        # one draw of 48 bytes is the 16-byte handle draw then the 32-byte master draw
+        token = rng.integers(0, 256, size=48).astype(np.uint8).tobytes()
+        handle = token[:16].hex()
+        self._masters[handle] = token[16:]
         if len(self._masters) > self.MAX_MASTERS:
             del self._masters[next(iter(self._masters))]
         return ("ideal", self.n, handle)

@@ -21,8 +21,17 @@ Conventions used across the package:
   with H on a reshaped view: the product ``np.tensordot`` would run, so the
   protocol transcripts keep their exact bits. The measured register is
   brought forward by one ``transpose``, whose permutation is computed once
-  per (qubit count, measured qubits, rank).
-* Every weighted draw goes through ``draw_index``, which returns the index
+  per (qubit count, measured qubits, rank). A state of at most
+  ``CACHED_STATE_AMPLITUDES`` (256) entries, 4 KiB, has its outcome law
+  cached, keyed on (shape, the complex128 bytes, qubits, theta): the cdf
+  over outcomes, and each collapsed state once that outcome is first drawn,
+  returned read-only. Each call still runs every check, then takes its one
+  ``rng.random()`` for the search of the cdf. Two LRU caches of 256 entries
+  bound the memory at 5 MiB (a law keeps at most 12 KiB, a collapsed state
+  8 KiB, keys included). Larger states run the same functions uncached.
+  ``epr_block_state`` on at most 4 pairs is built once per n, read-only.
+* Every weighted draw goes through ``draw_index`` (the measurement through its
+  two halves, the cdf cached), which returns the index
   ``rng.choice(len(p), p=p)`` returns and leaves the generator in the same
   state, at about half its cost. The equality rests on numpy's implementation of
   ``Generator.choice``; ``pyproject`` requires numpy >= 2.0 for it, and a
@@ -48,6 +57,9 @@ MAX_DENSITY_QUBITS = 13
 
 # theta frames up to this width are cached; a cached 13-qubit frame would pin 1 GiB
 CACHED_FRAME_QUBITS = 4
+
+# measured states (and EPR blocks) of at most this many entries are cached
+CACHED_STATE_AMPLITUDES = 1 << 8
 
 # Generator.choice rejects a p whose sum is further than this from 1
 _P_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
@@ -253,9 +265,24 @@ def bell_state(kind: str) -> np.ndarray:
 
 
 def epr_block_state(n: int) -> np.ndarray:
-    """n maximally entangled pairs, pair i on qubits (i, n+i): sum_x |x>|x> / 2^(n/2)."""
+    """n maximally entangled pairs, pair i on qubits (i, n+i): sum_x |x>|x> / 2^(n/2).
+    For 4^n <= CACHED_STATE_AMPLITUDES the one cached, read-only vector is
+    returned; callers must not write to it."""
     if n < 1:
         raise ValueError("need at least one pair")
+    if 4**n <= CACHED_STATE_AMPLITUDES:
+        return _cached_epr(n)
+    return _epr(n)
+
+
+@cache
+def _cached_epr(n: int) -> np.ndarray:
+    v = _epr(n)
+    v.flags.writeable = False
+    return v
+
+
+def _epr(n: int) -> np.ndarray:
     d = 1 << n
     v = np.zeros(d * d, dtype=np.complex128)
     v[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
@@ -331,10 +358,8 @@ def _rotate_theta(state: np.ndarray, n: int, qubits: Sequence[int], theta: Seque
     layout np.tensordot builds, so it rounds as a per-qubit tensordot; a
     density operator's columns get np.dot(., H^dagger) on the (rest, 2) layout."""
     for q, tb in zip(qubits, theta):
-        if tb == 0:
+        if not tb:
             continue
-        if tb != 1:
-            raise ValueError(f"not a bit: {tb!r}")
         t = state.reshape(1 << q, 2, -1).transpose(1, 0, 2).reshape(2, -1)
         t = np.dot(HADAMARD, t).reshape(2, 1 << q, -1).transpose(1, 0, 2)
         if state.ndim == 2:
@@ -344,16 +369,25 @@ def _rotate_theta(state: np.ndarray, n: int, qubits: Sequence[int], theta: Seque
     return state
 
 
-def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
-    """The index ``rng.choice(len(p), p=p)`` draws, from the one ``rng.random()``
-    it takes, so the generator ends in the same state. ``p`` is nonnegative;
-    like ``rng.choice``, a ``p`` whose sum is NaN or off 1 by more than
-    sqrt(float64 eps) raises ``ValueError``."""
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Normalized cumulative sum of p; like ``rng.choice``, a ``p`` whose sum
+    is NaN or off 1 by more than sqrt(float64 eps) raises ``ValueError``."""
     cdf = np.cumsum(p)
     if not abs(cdf[-1] - 1.0) <= _P_SUM_ATOL:
         raise ValueError(f"probabilities sum to {cdf[-1]!r}, not 1")
     cdf /= cdf[-1]
+    return cdf
+
+
+def _search(cdf: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
+    """The index ``rng.choice(len(p), p=p)`` draws, from the one ``rng.random()``
+    it takes, so the generator ends in the same state. ``p`` is nonnegative and
+    checked by ``_cdf`` before anything is drawn."""
+    return _search(_cdf(p), rng)
 
 
 @lru_cache(maxsize=1024)  # bounded: any subset of up to 13 qubits may be measured
@@ -371,6 +405,54 @@ def _measure_layout(n: int, qubits: tuple[int, ...], ndim: int) -> tuple[tuple[i
     return tuple(perm), tuple(inverse)
 
 
+def _outcome_law(state: np.ndarray, qubits: tuple[int, ...], theta: tuple[int, ...]) -> tuple:
+    """(cdf, probs, block) for measuring a checked state: the outcome law and
+    the state rotated into the computational frame, measured register first."""
+    n, r = n_qubits_of(state.shape[0]), len(qubits)
+    perm, _ = _measure_layout(n, qubits, state.ndim)
+    t = _rotate_theta(state, n, qubits, theta).reshape((2,) * len(perm)).transpose(perm)
+    if state.ndim == 1:
+        block = t.reshape(1 << r, -1)
+        probs = np.maximum((np.abs(block) ** 2).sum(axis=1).real, 0.0)
+    else:
+        block = t.reshape(1 << r, 1 << (n - r), 1 << r, 1 << (n - r))
+        probs = np.maximum(np.einsum("xixi->x", block).real, 0.0)
+    probs = probs / probs.sum()
+    return _cdf(probs), probs, block
+
+
+def _outcome(law: tuple, shape: tuple[int, ...], qubits: tuple[int, ...], theta: tuple[int, ...],
+             x: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """(bits, state) of outcome x: the block collapsed onto x, renormalized and
+    rotated back (H is self-inverse, so the same rotation undoes)."""
+    _, probs, block = law
+    n = n_qubits_of(shape[0])
+    post = np.zeros_like(block)
+    if len(shape) == 1:
+        post[x] = block[x] / np.sqrt(probs[x])
+    else:
+        post[x, :, x, :] = block[x, :, x, :] / probs[x]
+    _, inverse = _measure_layout(n, qubits, len(shape))
+    t = post.reshape((2,) * len(inverse)).transpose(inverse).reshape(shape)
+    return int_to_bits(x, len(qubits)), _rotate_theta(t, n, qubits, theta)
+
+
+# Keys hold a state's bytes (at most 4 KiB); a law adds a block of the same
+# size and two float arrays of at most 2 KiB, an outcome its 4 KiB state.
+@lru_cache(maxsize=256)
+def _cached_law(shape: tuple[int, ...], data: bytes, qubits: tuple[int, ...],
+                theta: tuple[int, ...]) -> tuple:
+    return _outcome_law(np.frombuffer(data, dtype=np.complex128).reshape(shape), qubits, theta)
+
+
+@lru_cache(maxsize=256)
+def _cached_outcome(shape: tuple[int, ...], data: bytes, qubits: tuple[int, ...], theta: tuple[int, ...],
+                    x: int) -> tuple[tuple[int, ...], np.ndarray]:
+    bits, post = _outcome(_cached_law(shape, data, qubits, theta), shape, qubits, theta, x)
+    post.flags.writeable = False
+    return bits, post
+
+
 def measure_in_theta_basis(
     state: np.ndarray,
     qubits: Sequence[int],
@@ -382,38 +464,27 @@ def measure_in_theta_basis(
     Returns (outcome bits, post-measurement state); outcome bit j belongs to
     qubits[j]. The measured register stays in place, collapsed onto the
     observed theta-basis vector. Works on state vectors and density operators.
+    A state of at most CACHED_STATE_AMPLITUDES entries gets its post-measurement
+    state from the cache, read-only; callers must not write to it.
     """
-    qubits = [int(q) for q in qubits]
+    qubits = tuple(int(q) for q in qubits)
     if len(qubits) != len(theta):
         raise ValueError("qubits and theta length mismatch")
     if len(set(qubits)) != len(qubits):
         raise ValueError("repeated qubit")
     state = np.asarray(state, dtype=np.complex128)
-    r = len(qubits)
-    if state.ndim not in (1, 2):
+    if state.ndim not in (1, 2) or state.shape[0] != state.shape[-1]:
         raise ValueError("state must be a vector or a square matrix")
-    n = n_qubits_of(state.shape[0])
-    perm, inverse = _measure_layout(n, tuple(qubits), state.ndim)
-    # Rotate the measured qubits into the computational frame, sample there,
-    # collapse, then rotate back. H is self-inverse so the same rotation undoes.
-    t = _rotate_theta(state, n, qubits, theta).reshape((2,) * len(perm)).transpose(perm)
-    if state.ndim == 1:
-        block = t.reshape(1 << r, -1)
-        probs = np.abs(block) ** 2
-        probs = np.maximum(probs.sum(axis=1).real, 0.0)
-        probs = probs / probs.sum()
-        x = draw_index(probs, rng)
-        post = np.zeros_like(block)
-        post[x] = block[x] / np.sqrt(probs[x])
-    else:
-        blk = t.reshape(1 << r, 1 << (n - r), 1 << r, 1 << (n - r))
-        probs = np.maximum(np.einsum("xixi->x", blk).real, 0.0)
-        probs = probs / probs.sum()
-        x = draw_index(probs, rng)
-        post = np.zeros_like(blk)
-        post[x, :, x, :] = blk[x, :, x, :] / probs[x]
-    t = post.reshape((2,) * len(perm)).transpose(inverse).reshape(state.shape)
-    return int_to_bits(x, r), _rotate_theta(t, n, qubits, theta)
+    _measure_layout(n_qubits_of(state.shape[0]), qubits, state.ndim)  # the range check
+    for tb in theta:
+        if tb not in (0, 1):
+            raise ValueError(f"not a bit: {tb!r}")
+    theta = tuple(1 if tb else 0 for tb in theta)
+    if state.size > CACHED_STATE_AMPLITUDES:
+        law = _outcome_law(state, qubits, theta)
+        return _outcome(law, state.shape, qubits, theta, _search(law[0], rng))
+    key = (state.shape, state.tobytes(), qubits, theta)
+    return _cached_outcome(*key, _search(_cached_law(*key)[0], rng))
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:

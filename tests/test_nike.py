@@ -103,6 +103,18 @@ def test_ideal_masters_stay_within_cap():
         scheme.sdk(IDENTITY_B, pk_b, IDENTITY_A, (first, pk_a))
 
 
+def test_ideal_setup_draw_is_the_two_token_draws():
+    # setup takes handle and master from one 48-value draw; numpy must give
+    # the 16-value handle draw followed by the 32-value master draw
+    for seed in range(200):
+        rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+        scheme = IdealNike(2)
+        handle = scheme.setup(rng)[2]
+        assert handle == oracle.integers(0, 256, size=16).astype(np.uint8).tobytes().hex()
+        assert scheme._masters == {handle: oracle.integers(0, 256, size=32).astype(np.uint8).tobytes()}
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+
 def test_toydh_theta_recomputable_from_logged_randomness():
     scheme = ToyDhNike(3)
     seed = 555

@@ -483,6 +483,129 @@ def test_measurement_is_bytewise_the_per_qubit_reference(case):
     assert post.shape == ref_post.shape and post.tobytes() == ref_post.tobytes()
 
 
+def measure_uncached(state, qubits, theta, rng):
+    """The measurement kernel without the caches, on the caller's array."""
+    qubits, theta = tuple(qubits), tuple(theta)
+    law = q._outcome_law(state, qubits, theta)
+    return q._outcome(law, state.shape, qubits, theta, q._search(law[0], rng))
+
+
+@st.composite
+def cached_measurement_cases(draw):
+    density = draw(st.booleans())
+    n = draw(st.integers(1, 4))
+    qubits = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+    theta = tuple(draw(st.lists(st.integers(0, 1), min_size=len(qubits), max_size=len(qubits))))
+    return density, n, qubits, theta, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cached_measurement_cases())
+def test_cached_measurement_is_the_uncached_kernel(case):
+    density, n, qubits, theta, strided, seed = case
+    rng = np.random.default_rng(seed)
+    if density:
+        state = q.random_density_operator(1 << n, rng)
+        state = state.T if strided else state  # a transposed view is not C-contiguous
+    else:
+        state = q.haar_state(1 << n, rng)
+        state = np.repeat(state, 2)[::2] if strided else state
+    assert state.size <= q.CACHED_STATE_AMPLITUDES
+    assert state.flags.c_contiguous != strided
+    cached, uncached = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(6):  # repeats on one state: the first call may miss, the rest hit
+        bits, post = q.measure_in_theta_basis(state, qubits, theta, cached)
+        ref_bits, ref_post = measure_uncached(state, qubits, theta, uncached)
+        assert bits == ref_bits
+        assert post.shape == ref_post.shape and post.tobytes() == ref_post.tobytes()
+        assert not post.flags.writeable
+    assert cached.bit_generator.state == uncached.bit_generator.state
+
+
+def test_measurement_caches_hit_and_return_read_only_states():
+    psi = q.epr_block_state(2)
+    q.measure_in_theta_basis(psi, [0, 1], (1, 0), np.random.default_rng(0))
+    laws, outcomes = q._cached_law.cache_info(), q._cached_outcome.cache_info()
+    _, post = q.measure_in_theta_basis(psi.copy(), [0, 1], (True, 0), np.random.default_rng(0))
+    assert q._cached_law.cache_info().hits == laws.hits + 1
+    assert q._cached_outcome.cache_info().hits == outcomes.hits + 1
+    assert q.measure_in_theta_basis(psi, [0, 1], (1, 0), np.random.default_rng(0))[1] is post
+    with pytest.raises(ValueError):
+        post[0] = 0.0
+
+
+def test_epr_block_is_cached_read_only_and_wide_blocks_are_fresh():
+    for n in range(1, 5):
+        v = q.epr_block_state(n)
+        assert v is q.epr_block_state(n) and not v.flags.writeable
+    assert 4**5 > q.CACHED_STATE_AMPLITUDES
+    wide = q.epr_block_state(5)
+    assert wide is not q.epr_block_state(5) and wide.flags.writeable
+    assert np.allclose(wide.reshape(32, 32), np.eye(32) / np.sqrt(32), atol=q.ATOL_STRUCT)
+    wide[0] = 0.0  # the caller's own copy
+
+
+def _bad_measurements():
+    psi = q.epr_block_state(1)
+    nan = np.array([np.nan, 0, 0, 0], dtype=np.complex128)
+    return [
+        (psi, [0], (2,), "not a bit"),
+        (psi, [0, 1], (1, 0.5), "not a bit"),
+        (psi, [2], (0,), "qubit 2 out of range for a 2-qubit state"),
+        (np.zeros(4, dtype=np.complex128), [0], (1,), "probabilities sum to"),
+        (nan, [1], (0,), "probabilities sum to"),
+        (np.outer(nan, nan), [0], (0,), "probabilities sum to"),
+    ]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("warm", [False, True])
+def test_measurement_errors_draw_nothing_on_cold_and_warm_caches(warm):
+    q._cached_law.cache_clear()
+    q._cached_outcome.cache_clear()
+    q._measure_layout.cache_clear()
+    if warm:  # every valid one-qubit key on the bad calls' EPR pair is cached
+        psi = q.epr_block_state(1)
+        for state in (psi, np.outer(psi, psi)):
+            for qb in (0, 1):
+                for tb in (0, 1):
+                    q.measure_in_theta_basis(state, [qb], (tb,), np.random.default_rng(1))
+    rng = np.random.default_rng(7)
+    for state, qubits, theta, message in _bad_measurements():
+        laws = q._cached_law.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match=message):
+                q.measure_in_theta_basis(state, qubits, theta, rng)
+        assert q._cached_law.cache_info().currsize == laws
+    assert rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(4, 8), (4, 2)])
+def test_measurement_rejects_non_square_operators(shape):
+    rng = np.random.default_rng(0)
+    state = np.zeros(shape, dtype=np.complex128)
+    state.flat[0] = 1.0
+    with pytest.raises(ValueError, match="state must be a vector or a square matrix"):
+        q.measure_in_theta_basis(state, [0], (0,), rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+@pytest.mark.parametrize("density", [False, True])
+def test_states_above_the_cache_limit_run_uncached(density):
+    rng = np.random.default_rng(11)
+    n = 5 if density else 9
+    state = q.random_density_operator(1 << n, rng) if density else q.haar_state(1 << n, rng)
+    assert state.size > q.CACHED_STATE_AMPLITUDES
+    qubits, theta = [3, 0, 4], (1, 0, 1)
+    before = (q._cached_law.cache_info(), q._cached_outcome.cache_info())
+    for seed in range(3):
+        bits, post = q.measure_in_theta_basis(state, qubits, theta, np.random.default_rng(seed))
+        ref_bits, ref_post = measure_reference(state, qubits, theta, np.random.default_rng(seed))
+        assert bits == ref_bits and post.tobytes() == ref_post.tobytes()
+        assert post.flags.writeable
+    assert (q._cached_law.cache_info(), q._cached_outcome.cache_info()) == before
+
+
 def test_random_povm_is_valid():
     rng = np.random.default_rng(41)
     povm = q.random_povm(6, 4, rng)

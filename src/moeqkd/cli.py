@@ -89,6 +89,13 @@ def _merge_config(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(experiment=ns.experiment, **merged)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def main(argv: list[str] | None = None) -> int:
     ns, extra = build_parser().parse_known_args(argv)
     if extra:  # reported by the experiment's parser, whose usage lists its flags
@@ -99,7 +106,10 @@ def main(argv: list[str] | None = None) -> int:
         records = run(cfg)
         elapsed = time.perf_counter() - start
         if getattr(ns, "dump_transcript", None) is not None:
-            Path(ns.dump_transcript).write_text(sample_transcript(cfg) + "\n")
+            _write(ns.dump_transcript, sample_transcript(cfg) + "\n")
+        text = records_to_csv(records) if cfg.format == "csv" else records_to_json(records)
+        if cfg.out is not None:
+            _write(cfg.out, text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -107,9 +117,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"assertion failed: {exc}", file=sys.stderr)
         return 1
 
-    text = records_to_csv(records) if cfg.format == "csv" else records_to_json(records)
     if cfg.out is not None:
-        Path(cfg.out).write_text(text)
         for r in records:
             verdict = "PASS" if r.passed else "FAIL"
             extra = "" if r.bound is None else f" (bound {r.bound!r})"

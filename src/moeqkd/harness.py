@@ -274,6 +274,8 @@ _MOE_EXPECTED = {
 
 def _moe(cfg: RunConfig) -> list[ResultRecord]:
     """One game configuration, exact enumeration or Monte-Carlo."""
+    if cfg.n > q.MAX_DENSITY_QUBITS:  # before a strategy builds its 4^n amplitudes
+        raise ValueError(f"n = {cfg.n} exceeds the {q.MAX_DENSITY_QUBITS}-qubit dense cap")
     name = _STRATEGY_ALIASES.get(cfg.strategy, cfg.strategy)
     if name == "basis_reading" and cfg.scheme != "broken":
         raise ValueError("basis_reading needs a scheme whose public tuple carries the basis")

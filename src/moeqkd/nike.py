@@ -157,22 +157,6 @@ class BrokenNike:
         return tuple(pp[2])
 
 
-def nike_correctness_rate(scheme, trials: int, rng: np.random.Generator) -> float:
-    """Fraction of fresh runs where both directions derive the same non-None key."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    good = 0
-    for _ in range(trials):
-        pp = scheme.setup(rng)
-        sk_a, pk_a = scheme.gen(pp, IDENTITY_A, rng)
-        sk_b, pk_b = scheme.gen(pp, IDENTITY_B, rng)
-        ka = scheme.sdk(IDENTITY_B, pk_b, IDENTITY_A, sk_a)
-        kb = scheme.sdk(IDENTITY_A, pk_a, IDENTITY_B, sk_b)
-        if ka is not None and ka == kb:
-            good += 1
-    return good / trials
-
-
 def sample_z(scheme, rng: np.random.Generator) -> ZSample:
     """Honest sampling of the public view and the basis string; secrets discarded."""
     pp = scheme.setup(rng)

@@ -356,19 +356,6 @@ def _readouts(kf: KeyFunction, party: str, hidden_words: np.ndarray,
             ^ _parity_bits(other.words, coin_words))
 
 
-def run_toy_protocol(proto: ClassicalKeyProtocol, rng: np.random.Generator):
-    """Honest execution: returns (R_A, R_B, S_A, S_B, key)."""
-    r_a = proto.sample_randomness(rng)
-    r_b = proto.sample_randomness(rng)
-    payload_a = proto.prepare_payload("A", r_a)
-    payload_b = proto.prepare_payload("B", r_b)
-    k_b, payload_a = proto.measure_payload(payload_a, r_b)
-    k_a, payload_b = proto.measure_payload(payload_b, r_a)
-    if k_a != k_b:
-        raise AssertionError("deterministic keys must coincide")
-    return r_a, r_b, proto.public_part(r_a), proto.public_part(r_b), k_a
-
-
 @dataclass
 class AttackState:
     """Everything the interception phase logs, plus the offline results.
@@ -406,13 +393,6 @@ def eve_online(proto: ClassicalKeyProtocol, s_a: int, s_b: int,
     betas, payload_b = proto.measure_probes(payload_b, ra_words)
     state = AttackState(s_a, s_b, tuple(alphas), tuple(betas), rb_words, ra_words)
     return state, payload_a, payload_b
-
-
-def gamma_membership(kf: KeyFunction, state: AttackState, side: str, cand: int) -> bool:
-    """Defining predicate of the candidate sets, independent of representation."""
-    if side == "a":
-        return all(kf.value(cand, rb) == a for rb, a in zip(state.sampled_rb, state.alphas))
-    return all(kf.value(ra, cand) == b for ra, b in zip(state.sampled_ra, state.betas))
 
 
 def _probe_rhs(kf: KeyFunction, ech: RowEchelon, other: RowEchelon,

@@ -152,32 +152,6 @@ def trace_norm_hermitian(a: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvalsh(a)).sum())
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Trace distance (1/2)||rho - sigma||_1 between hermitian operators."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    sigma = np.asarray(sigma, dtype=np.complex128)
-    if rho.shape != sigma.shape:
-        raise ValueError("shape mismatch")
-    diff = rho - sigma
-    if not np.allclose(diff, diff.conj().T, atol=ATOL_EIG):
-        raise ValueError("trace_distance expects hermitian inputs")
-    return 0.5 * trace_norm_hermitian(diff)
-
-
-def operator_leq(a: np.ndarray, b: np.ndarray) -> tuple[bool, float]:
-    """Check a <= b in the semidefinite order.
-
-    Returns (holds, witness) where the witness is the smallest eigenvalue of
-    b - a; the inequality is accepted when the witness is >= -ATOL_EIG.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ValueError("operator_leq expects two equal-shape square matrices")
-    witness = float(np.linalg.eigvalsh(b - a).min())
-    return witness >= -ATOL_EIG, witness
-
-
 def operator_union_bound_witness(projectors: Sequence[np.ndarray]) -> float:
     """Smallest eigenvalue of sum_i(I x..x (I-P_i) x..x I) - (I - tensor_i P_i).
 

@@ -166,6 +166,18 @@ def test_averaged_agreement_operator_is_cached_read_only():
         avg[0, 0] = 1.0
 
 
+def test_random_theta_bound_is_tight():
+    # E_theta tr(P_theta M1 rho) is linear in rho, so the worst state is the top
+    # eigenvector of the averaged operator; its value meets the ceiling to an ulp
+    for n in range(1, 5):
+        for s in [s for s in range(1, n + 1) if n % s == 0]:
+            vals, vecs = np.linalg.eigh(_averaged_agreement_m1(n, s))
+            worst = np.outer(vecs[:, -1], vecs[:, -1].conj())
+            value, bound, ok = verify_random_theta_bound(worst, s)
+            assert abs(vals[-1] - bound) <= np.spacing(bound), (n, s, vals[-1], bound)
+            assert ok and abs(value - vals[-1]) <= 1e-12
+
+
 def test_random_theta_bound_random_states():
     rng = np.random.default_rng(6)
     for n, s in [(2, 1), (2, 2), (3, 1), (3, 3)]:

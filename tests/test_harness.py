@@ -27,6 +27,7 @@ from moeqkd.harness import (
     sample_transcript,
 )
 from moeqkd.nogo import nogo_bound
+from moeqkd.quantum import MAX_DENSITY_QUBITS
 
 PASSIVE_DIST_N2 = 0.18888235642225482
 
@@ -356,6 +357,24 @@ def test_cli_out_file_identical_across_runs(tmp_path, capsys):
                  "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     assert "[PASS] guess_rate" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dump-transcript"])
+def test_cli_unwritable_output_path_is_a_usage_error(flag, tmp_path, capsys):
+    path = tmp_path / "missing" / "o.json"
+    assert main(["niqkd", "--seed", "2", "--trials", "4", flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("strategy", ["honest", "intercept", "basis_reading", "random"])
+def test_moe_refuses_n_over_the_dense_cap_before_building_a_state(strategy, exact, capsys):
+    # no machine holds 4^20 amplitudes, so a state built before the check fails here
+    scheme = "broken" if strategy == "basis_reading" else "ideal"
+    argv = ["moe", "--seed", "1", "--n", "20", "--trials", "1", "--scheme", scheme,
+            "--strategy", strategy] + ["--exact"] * exact
+    assert main(argv) == 2
+    assert f"n = 20 exceeds the {MAX_DENSITY_QUBITS}-qubit dense cap" in capsys.readouterr().err
 
 
 def test_cli_failing_row_exits_one(monkeypatch, capsys):

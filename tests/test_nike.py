@@ -13,10 +13,26 @@ from moeqkd.nike import (
     break_toy_dh,
     discrete_log,
     enumerate_z,
-    nike_correctness_rate,
     sample_z,
     theta_of_public,
 )
+
+
+def nike_correctness_rate(scheme, trials: int, rng: np.random.Generator) -> float:
+    """Fraction of fresh runs where both directions derive the same non-None key."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    good = 0
+    for _ in range(trials):
+        pp = scheme.setup(rng)
+        sk_a, pk_a = scheme.gen(pp, IDENTITY_A, rng)
+        sk_b, pk_b = scheme.gen(pp, IDENTITY_B, rng)
+        ka = scheme.sdk(IDENTITY_B, pk_b, IDENTITY_A, sk_a)
+        kb = scheme.sdk(IDENTITY_A, pk_a, IDENTITY_B, sk_b)
+        if ka is not None and ka == kb:
+            good += 1
+    return good / trials
+
 
 ALL_SCHEMES = [lambda n: IdealNike(n), lambda n: ToyDhNike(n), lambda n: BrokenNike(n)]
 

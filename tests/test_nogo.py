@@ -10,19 +10,38 @@ from moeqkd.hashing import gf_mul
 from moeqkd.nogo import (
     AttackState,
     ClassicalKeyProtocol,
+    KeyFunction,
     affine_hash_key_function,
     affine_key_function,
     attack_success_rate,
     eve_offline,
     eve_online,
-    gamma_membership,
     nogo_bound,
-    run_toy_protocol,
     table_key_function,
     xor_trunc_key_function,
 )
 
 CHI2_CRIT_31DOF = 61.098  # 0.999 quantile
+
+
+def run_toy_protocol(proto: ClassicalKeyProtocol, rng: np.random.Generator):
+    """Honest execution: returns (R_A, R_B, S_A, S_B, key)."""
+    r_a = proto.sample_randomness(rng)
+    r_b = proto.sample_randomness(rng)
+    payload_a = proto.prepare_payload("A", r_a)
+    payload_b = proto.prepare_payload("B", r_b)
+    k_b, payload_a = proto.measure_payload(payload_a, r_b)
+    k_a, payload_b = proto.measure_payload(payload_b, r_a)
+    if k_a != k_b:
+        raise AssertionError("deterministic keys must coincide")
+    return r_a, r_b, proto.public_part(r_a), proto.public_part(r_b), k_a
+
+
+def gamma_membership(kf: KeyFunction, state: AttackState, side: str, cand: int) -> bool:
+    """Defining predicate of the candidate sets, independent of representation."""
+    if side == "a":
+        return all(kf.value(cand, rb) == a for rb, a in zip(state.sampled_rb, state.alphas))
+    return all(kf.value(ra, cand) == b for ra, b in zip(state.sampled_ra, state.betas))
 
 
 def intercepted_run(proto, rng):

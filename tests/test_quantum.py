@@ -282,16 +282,6 @@ def test_partial_trace_of_epr_is_maximally_mixed():
         assert np.allclose(red, np.eye(1 << n) / (1 << n), atol=q.ATOL_STRUCT)
 
 
-def test_trace_distance_known_values():
-    zero = np.array([[1, 0], [0, 0]], dtype=complex)
-    one = np.array([[0, 0], [0, 1]], dtype=complex)
-    plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-    assert abs(q.trace_distance(zero, one) - 1.0) < q.ATOL_EIG
-    assert q.trace_distance(zero, zero) < q.ATOL_EIG
-    # pure-state distance sqrt(1 - |<0|+>|^2) = sqrt(1/2)
-    assert abs(q.trace_distance(zero, plus) - np.sqrt(0.5)) < q.ATOL_EIG
-
-
 def test_stacked_eigvalsh_trace_norms_match_per_matrix_bitwise():
     # the exact distances take their trace norms from one stacked eigvalsh,
     # and their pins hold only if that equals trace_norm_hermitian bit for bit
@@ -311,13 +301,6 @@ def test_stacked_eigvalsh_trace_norms_match_per_matrix_bitwise():
         expected = [q.trace_norm_hermitian(mat) for mat in flat]
         assert norms.ravel().tolist() == expected
         assert norms.ravel()[-20:].tolist() == [0.0] * 20
-
-
-def test_operator_leq():
-    ok, wit = q.operator_leq(np.diag([0.2, 0.1]), np.diag([0.3, 0.1]))
-    assert ok and wit >= -q.ATOL_EIG
-    ok, wit = q.operator_leq(np.diag([0.2, 0.5]), np.diag([0.3, 0.1]))
-    assert not ok and wit < -0.3
 
 
 def test_embed_operator_against_kron():

@@ -5,7 +5,9 @@ with probabilities p_x, and a side-information operator rho_x per label. The
 guessing probability p_guess(X|B) is the optimum of a semidefinite program;
 we return a two-sided bracket whose certificates (an explicitly feasible POVM
 for the lower end, an explicitly dual-feasible operator for the upper end)
-are re-verified with plain numpy, so no solver is trusted.
+are re-verified with plain numpy, so no solver is trusted: the POVM by
+``quantum.assert_povm``, each sigma - p_x rho_x and the ensemble's states by
+``quantum.assert_psd``, all at ``quantum.ATOL_EIG``.
 
 Two labels have the Helstrom optimum in closed form: with
 Delta = p_0 rho_0 - p_1 rho_1, the projector onto Delta's positive part and
@@ -24,12 +26,11 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .quantum import partial_trace, trace_norm_hermitian
+from .quantum import assert_povm, assert_psd, partial_trace, trace_norm_hermitian
 
 MAX_DIM = 64
 DEFAULT_GAP = 1e-6
 ITERATION_CAP = 100_000
-CERT_ATOL = 1e-9  # how much certificate infeasibility we tolerate when re-verifying
 
 
 @dataclass
@@ -58,18 +59,12 @@ class CqEnsemble:
         dim = np.asarray(self.states[keep[0]]).shape[0]
         if dim > MAX_DIM:
             raise ValueError(f"side information dimension {dim} exceeds cap {MAX_DIM}")
-        states = []
-        for i in keep:
-            rho = np.asarray(self.states[i], dtype=np.complex128)
-            if rho.shape != (dim, dim):
-                raise ValueError("states must share one dimension")
-            if not np.allclose(rho, rho.conj().T, atol=CERT_ATOL):
-                raise ValueError("state not hermitian")
-            if abs(np.trace(rho).real - 1.0) > 1e-8:
-                raise ValueError("state trace != 1")
-            if float(np.linalg.eigvalsh(rho).min()) < -CERT_ATOL:
-                raise ValueError("state not positive semidefinite")
-            states.append(rho)
+        states = [np.asarray(self.states[i], dtype=np.complex128) for i in keep]
+        if any(rho.shape != (dim, dim) for rho in states):
+            raise ValueError("states must share one dimension")
+        if any(abs(np.trace(rho).real - 1.0) > 1e-8 for rho in states):
+            raise ValueError("state trace != 1")
+        assert_psd(states, "state")
         self.states = states
 
     @property
@@ -101,20 +96,6 @@ class GuessBracket:
     @property
     def gap(self) -> float:
         return self.upper - self.lower
-
-
-def assert_povm(povm: Sequence[np.ndarray], dim: int) -> None:
-    """Raise unless the elements are PSD and sum to the identity."""
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for e in povm:
-        e = np.asarray(e)
-        if e.shape != (dim, dim):
-            raise ValueError("POVM element shape mismatch")
-        if float(np.linalg.eigvalsh(0.5 * (e + e.conj().T)).min()) < -CERT_ATOL:
-            raise ValueError("POVM element not positive semidefinite")
-        total = total + e
-    if np.abs(total - np.eye(dim)).max() > 1e-7:
-        raise ValueError("POVM does not sum to the identity")
 
 
 def _psd_pinv_sqrt(m: np.ndarray) -> np.ndarray:
@@ -225,11 +206,8 @@ def _verify_certificates(
     weighted: Sequence[np.ndarray], povm: Sequence[np.ndarray], sigma: np.ndarray
 ) -> tuple[float, float]:
     """Recompute both bracket ends from the certificates alone."""
-    dim = weighted[0].shape[0]
-    assert_povm(povm, dim)
-    worst = min(float(np.linalg.eigvalsh(sigma - w).min()) for w in weighted)
-    if worst < -CERT_ATOL:
-        raise ValueError(f"dual certificate infeasible by {worst}")
+    assert_povm(povm, weighted[0].shape[0])
+    assert_psd(sigma - np.asarray(weighted), "dual certificate sigma - p_x rho_x")
     lower = _primal_value(weighted, povm)
     upper = float(np.trace(sigma).real)
     return lower, upper

@@ -22,9 +22,10 @@ import numpy as np
 
 from .nike import enumerate_z, sample_z, theta_of_public
 from .quantum import (
-    ATOL_NORM,
+    MAX_DENSITY_QUBITS,
     agreement_projector,
-    assert_density_operator,
+    assert_povm,
+    assert_state,
     block_projectors,
     draw_index,
     epr_block_state,
@@ -35,7 +36,6 @@ from .quantum import (
     theta_amplitudes,
     theta_unitary,
 )
-from .entropy import assert_povm
 
 MAX_CHARLIE_QUBITS = 4
 
@@ -153,16 +153,8 @@ BUILTIN_STRATEGIES = {
 
 def _checked_prep(strategy: Strategy, p: tuple) -> np.ndarray:
     psi = np.asarray(strategy.prep(p), dtype=np.complex128)
-    if abs(np.linalg.norm(psi) - 1.0) > ATOL_NORM:
-        raise ValueError("preparation not normalized")
+    assert_state(psi)
     return psi
-
-
-def _povm_stack(strategy: Strategy, theta: tuple[int, ...], c_dim: int) -> np.ndarray:
-    """C's POVM for theta, checked, as one (2^n, c_dim, c_dim) array."""
-    povm = strategy.charlie_povm(theta)
-    assert_povm(povm, c_dim)
-    return np.stack([np.asarray(e, dtype=np.complex128) for e in povm])
 
 
 def exact_pwin(scheme, strategy: Strategy, n: int) -> GameResult:
@@ -176,7 +168,7 @@ def exact_pwin(scheme, strategy: Strategy, n: int) -> GameResult:
     agree = 0.0
     for z, weight in entries:
         psi = _checked_prep(strategy, z.p)
-        q = _povm_stack(strategy, z.theta, c_dim)
+        q = assert_povm(strategy.charlie_povm(z.theta), c_dim)
         uc = theta_unitary(z.theta).conj()
         # row k: <kk|_theta psi. Only the agreement diagonal of the joint
         # contraction, summed in the same order, so it keeps that rounding.
@@ -202,7 +194,7 @@ def sampled_pwin(scheme, strategy: Strategy, n: int, trials: int, rng: np.random
         x = draw_index(probs / probs.sum(), rng)
         ka, kb = divmod(x, 2**n)
         if z.theta not in stacks:
-            stacks[z.theta] = _povm_stack(strategy, z.theta, c_dim)
+            stacks[z.theta] = assert_povm(strategy.charlie_povm(z.theta), c_dim)
         probs = np.einsum("c,kcd,d->k", amp[x].conj(), stacks[z.theta], amp[x]).real
         probs = np.clip(probs, 0.0, None)  # rounding only: the stack passed assert_povm
         kc = draw_index(probs / probs.sum(), rng)
@@ -230,12 +222,10 @@ def _averaged_agreement_m1(n: int, s: int) -> np.ndarray:
 def verify_random_theta_bound(rho_ab: np.ndarray, s: int) -> tuple[float, float, bool]:
     """E_theta tr(P_theta M1 rho) against the 2^(-n/s) ceiling, which is tight: the
     averaged operator's top eigenvector meets it to an ulp for n <= 4 (arXiv:1210.4359)."""
-    qubits = assert_density_operator(rho_ab)
-    if qubits % 2:
-        raise ValueError("state must cover matched A and B registers")
+    qubits = assert_state(rho_ab)
+    if qubits % 2 or np.ndim(rho_ab) != 2:
+        raise ValueError("state must be a density operator on matched A and B registers")
     n = qubits // 2
-    if n % s:
-        raise ValueError("block size must divide n")
     value = float(np.trace(_averaged_agreement_m1(n, s) @ rho_ab).real)
     bound = 2.0 ** -(n // s)
     return value, bound, value <= bound + 1e-9
@@ -249,21 +239,18 @@ def verify_fixed_theta_bound(
 ) -> tuple[float, float, bool]:
     """sum_x tr((|xx><xx|_theta ⊗ Q_x) (M0 ⊗ I) rho) against sqrt((n/s)/2^s)."""
     n = len(theta)
-    if n % s:
-        raise ValueError("block size must divide n")
-    total_qubits = assert_density_operator(rho_abe)
+    assert_state(rho_abe)
     e_dim = rho_abe.shape[0] // 4**n
-    if e_dim * 4**n != rho_abe.shape[0] or e_dim > 8:
-        raise ValueError("environment dimension out of range")
+    if np.ndim(rho_abe) != 2 or e_dim * 4**n != rho_abe.shape[0] or e_dim > 8:
+        raise ValueError("state must be a density operator with an environment of at most 8 dimensions")
     if len(povm_on_e) != 2**n:
         raise ValueError("one POVM element per key required")
-    assert_povm(povm_on_e, e_dim)
+    q = assert_povm(povm_on_e, e_dim)
     m0, _ = block_projectors(n, s)
     rho4 = rho_abe.reshape(4**n, e_dim, 4**n, e_dim)
     rho_m = np.einsum("xy,yazb->xazb", m0, rho4)
     u = theta_unitary(theta)
     w = np.einsum("ix,jx->xij", u, u, order="C").reshape(2**n, 4**n)  # row x: |xx>_theta
-    q = np.stack([np.asarray(e, dtype=np.complex128) for e in povm_on_e])
     value = float(np.einsum("xi,xj,xkl,jlik->", w, w.conj(), q, rho_m).real)
     bound = float(np.sqrt((n / s) / 2**s))
     return value, bound, value <= bound + 1e-9
@@ -287,20 +274,18 @@ def decomposition_terms(
     conditional states on C, and both routes must agree.
     """
     n = len(theta)
-    if n % s:
-        raise ValueError("block size must divide n")
     rho = np.asarray(rho_abc, dtype=np.complex128)
+    qubits = assert_state(rho)
+    if qubits > MAX_DENSITY_QUBITS:  # only a pure state gets here; |psi><psi| would not fit
+        raise ValueError(f"state on {qubits} qubits exceeds the {MAX_DENSITY_QUBITS}-qubit cap")
     if rho.ndim == 1:
         rho = np.outer(rho, rho.conj())
-    assert_density_operator(rho)
     c_dim = rho.shape[0] // 4**n
     if c_dim * 4**n != rho.shape[0]:
         raise ValueError("state does not factor into AB and C")
-    povm = charlie_povm(theta) if callable(charlie_povm) else list(charlie_povm)
-    if len(povm) != 2**n:
+    q = assert_povm(charlie_povm(theta) if callable(charlie_povm) else charlie_povm, c_dim)
+    if len(q) != 2**n:
         raise ValueError("one POVM element per key required")
-    assert_povm(povm, c_dim)
-    q = np.stack([np.asarray(e, dtype=np.complex128) for e in povm])
 
     m0, m1 = block_projectors(n, s)
     rho4 = rho.reshape(4**n, c_dim, 4**n, c_dim)
@@ -358,7 +343,7 @@ def distinguisher_advantage(
     for _ in range(trials):
         z = sample_z(scheme, rng)
         theta_star = tuple(int(b) for b in rng.integers(0, 2, size=n))
-        psi = np.asarray(strategy.prep(z.p), dtype=np.complex128)
+        psi = _checked_prep(strategy, z.p)
         t = psi.reshape(4**n, c_dim)
         prob1 = float(np.einsum("ac,ab,bc->", t.conj(), m1, t).real)
         outcome = 1 if rng.random() < prob1 else 0

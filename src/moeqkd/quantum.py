@@ -36,6 +36,9 @@ Conventions used across the package:
   state, at about half its cost. The equality rests on numpy's implementation of
   ``Generator.choice``; ``pyproject`` requires numpy >= 2.0 for it, and a
   test checks it.
+* ``assert_psd`` is the package's one hermitian-and-PSD verdict, at ATOL_EIG;
+  ``assert_state`` (a pure state or a density operator) and ``assert_povm``
+  (which returns the checked (k, d, d) stack) call it, and so does ``entropy``.
 """
 
 from __future__ import annotations
@@ -95,22 +98,47 @@ def n_qubits_of(dim: int) -> int:
     return n
 
 
-def assert_density_operator(rho: np.ndarray) -> int:
-    """Validate a density operator (hermitian, PSD, unit trace); returns qubit count."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+def assert_psd(ops: np.ndarray, what: str) -> None:
+    """Raise unless each matrix over the last two axes is hermitian (allclose at
+    ATOL_EIG) with no eigenvalue below -ATOL_EIG; one stacked call for each."""
+    ops = np.asarray(ops)
+    if not np.allclose(ops, ops.conj().swapaxes(-1, -2), atol=ATOL_EIG):
+        raise ValueError(f"{what} not hermitian")
+    low = float(np.linalg.eigvalsh(ops).min())
+    if low < -ATOL_EIG:
+        raise ValueError(f"{what} not positive semidefinite (smallest eigenvalue {low!r})")
+
+
+def assert_state(state: np.ndarray) -> int:
+    """Validate a pure state (unit norm, any size) or a density operator (unit
+    trace, PSD, at most MAX_DENSITY_QUBITS); returns the qubit count."""
+    state = np.asarray(state)
+    if state.ndim == 1:
+        if abs(np.linalg.norm(state) - 1.0) > ATOL_NORM:
+            raise ValueError("pure state not normalized")
+        return n_qubits_of(state.shape[0])
+    if state.ndim != 2 or state.shape[0] != state.shape[1]:
         raise ValueError("density operator must be square")
-    n = n_qubits_of(rho.shape[0])
+    n = n_qubits_of(state.shape[0])
     if n > MAX_DENSITY_QUBITS:
         raise ValueError(f"density operator on {n} qubits exceeds the {MAX_DENSITY_QUBITS}-qubit cap")
-    if not np.allclose(rho, rho.conj().T, atol=ATOL_EIG):
-        raise ValueError("density operator not hermitian")
-    tr = complex(np.trace(rho))
+    tr = complex(np.trace(state))
     if abs(tr - 1.0) > ATOL_NORM:
         raise ValueError(f"density operator trace {tr} != 1")
-    if float(np.linalg.eigvalsh(rho).min()) < -ATOL_EIG:
-        raise ValueError("density operator not positive semidefinite")
+    assert_psd(state, "density operator")
     return n
+
+
+def assert_povm(povm: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """The elements as one (k, dim, dim) complex stack, a copy; raises unless
+    each is hermitian and PSD (``assert_psd``) and they sum to the identity."""
+    stack = np.array(povm, dtype=np.complex128)
+    if stack.shape[1:] != (dim, dim):
+        raise ValueError("POVM element shape mismatch")
+    assert_psd(stack, "POVM element")
+    if np.abs(stack.sum(axis=0) - np.eye(dim)).max() > 1e-7:
+        raise ValueError("POVM does not sum to the identity")
+    return stack
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:

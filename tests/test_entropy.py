@@ -16,14 +16,13 @@ from moeqkd.entropy import (
     _psd_pinv_sqrt,
     _repair_povm,
     _verify_certificates,
-    assert_povm,
     chain_rule_check,
     helstrom_binary,
     hmin,
     pguess,
 )
 from moeqkd.harness import rng_substream
-from moeqkd.quantum import haar_state, random_density_operator
+from moeqkd.quantum import assert_povm, haar_state, random_density_operator
 
 KET0 = np.array([1.0, 0.0], dtype=np.complex128)
 KETP = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2)
@@ -101,6 +100,16 @@ def test_certificates_reverify_outside_the_solver():
     assert abs(val - b.lower) <= 1e-12
     # the true optimum is at least the largest prior
     assert b.upper >= ens.probs.max() - 1e-9
+
+
+def test_certificate_check_rejects_a_dual_changed_above_the_diagonal():
+    # eigvalsh reads the lower triangle only, so this sigma - p_x rho_x has the
+    # eigenvalues of the valid certificate it was made from
+    ens = CqEnsemble([0, 1], np.array([0.5, 0.5]), [proj(KET0), proj(KETP)])
+    b = pguess(ens)
+    sigma = b.sigma + 0.3 * np.triu(np.ones((2, 2)), 1)
+    with pytest.raises(ValueError, match="not hermitian"):
+        _verify_certificates(ens.weighted(), b.povm, sigma)
 
 
 def test_pure_state_ensembles_across_sizes():

@@ -101,10 +101,21 @@ def test_sampled_rejects_non_psd_povm():
         sampled_pwin(IdealNike(1), strat, 1, 20, np.random.default_rng(0))
 
 
+def test_sampled_rejects_non_hermitian_povm():
+    # sums to the identity and each element's hermitian part is I/2, but
+    # neither element is hermitian
+    e = np.array([[0.5, 0.2], [-0.2, 0.5]], dtype=np.complex128)
+    psi = np.kron(epr_block_state(1), [1.0, 0.0])
+    strat = Strategy("non_hermitian", 1, 1, lambda p: psi, lambda theta: [e, np.eye(2) - e])
+    with pytest.raises(ValueError, match="not hermitian"):
+        sampled_pwin(IdealNike(1), strat, 1, 20, np.random.default_rng(0))
+
+
 def test_sampled_rejects_unnormalized_prep():
     strat = replace(honest_strategy(1), prep=lambda p: 2 * epr_block_state(1))
-    with pytest.raises(ValueError, match="not normalized"):
-        sampled_pwin(IdealNike(1), strat, 1, 20, np.random.default_rng(0))
+    for run in (sampled_pwin, distinguisher_advantage):
+        with pytest.raises(ValueError, match="not normalized"):
+            run(IdealNike(1), strat, 1, 20, np.random.default_rng(0))
 
 
 def test_sampled_builds_each_povm_once_per_theta():
@@ -218,6 +229,25 @@ def test_fixed_theta_bound_rejects_bad_povm():
         verify_fixed_theta_bound(rho, bad, (0,), 1)
 
 
+def test_bound_checks_reject_bad_block_sizes_and_pure_states():
+    # block_projectors owns the block-size check, and each caller reaches it
+    rng = np.random.default_rng(14)
+    rho = random_density_operator(64, rng)
+    psi = haar_state(64, rng)
+    povm = [np.array([[0.125]], dtype=complex)] * 8
+    with pytest.raises(ValueError, match="divide"):
+        verify_random_theta_bound(rho, 2)
+    with pytest.raises(ValueError, match="divide"):
+        verify_fixed_theta_bound(rho, povm, (0, 1, 1), 2)
+    with pytest.raises(ValueError, match="divide"):
+        decomposition_terms(psi, None, (0, 1, 1), 2, povm)
+    # assert_state passes a pure state; only decomposition_terms takes one
+    with pytest.raises(ValueError, match="density operator"):
+        verify_random_theta_bound(psi, 1)
+    with pytest.raises(ValueError, match="density operator"):
+        verify_fixed_theta_bound(psi, povm, (0, 1, 1), 1)
+
+
 def test_decomposition_honest_state():
     n = 2
     psi = epr_block_state(n)
@@ -249,6 +279,13 @@ def test_decomposition_random_states_sum_check():
             # internal assertions cover the sum identity and both term caps
             t1, t2, t3 = decomposition_terms(psi, None, theta, n, strat.charlie_povm)
             assert min(t1, t2, t3) >= -1e-12
+
+
+def test_decomposition_refuses_a_pure_state_above_the_dense_cap():
+    psi = np.zeros(1 << 20, dtype=np.complex128)  # 16 MiB; |psi><psi| would take 16 TiB
+    psi[0] = 1.0
+    with pytest.raises(ValueError, match="20 qubits exceeds the 13-qubit cap"):
+        decomposition_terms(psi, None, (0,), 1, [])
 
 
 def test_distinguisher_flat_for_blind_preparations():

@@ -600,6 +600,32 @@ def test_random_povm_is_valid():
 
 def test_validators_reject_garbage():
     with pytest.raises(ValueError):
-        q.assert_density_operator(np.array([[0.9, 0.5], [0.5, 0.1]]))
+        q.assert_state(np.array([[0.9, 0.5], [0.5, 0.1]]))
     with pytest.raises(ValueError):
         q.partial_trace(np.eye(4), [2, 3], [0])
+    with pytest.raises(ValueError, match="not a power of two"):
+        q.assert_state(np.ones(3) / np.sqrt(3.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 16), st.lists(st.floats(-1e-12, 1e-12), min_size=1, max_size=4),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_assert_psd_matches_the_eigvalsh_oracle_at_the_tolerance(d, offsets, stacked, seed):
+    # Each hermitian matrix has its smallest eigenvalue placed at -1e-9 + offset.
+    # The oracle is the per-matrix test every PSD check ran before assert_psd,
+    # at its literal tolerance, so a moved tolerance fails here.
+    rng = np.random.default_rng(seed)
+    mats = []
+    for off in offsets:
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = 0.5 * (g + g.conj().T)
+        mats.append(h - (np.linalg.eigvalsh(h).min() + 1e-9 - off) * np.eye(d))
+    if not stacked:
+        mats = mats[:1]
+    rejected = any(float(np.linalg.eigvalsh(a).min()) < -1e-9 for a in mats)
+    ops = np.array(mats) if stacked else mats[0]
+    if rejected:
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            q.assert_psd(ops, "operator")
+    else:
+        q.assert_psd(ops, "operator")

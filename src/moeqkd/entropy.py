@@ -20,7 +20,7 @@ the ascent takes at most ITERATION_CAP steps in all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import log2
 from typing import Hashable, Sequence
 

@@ -24,7 +24,7 @@ from .game import (
     verify_fixed_theta_bound,
     verify_random_theta_bound,
 )
-from .nike import BrokenNike, IdealNike, ToyDhNike
+from .nike import BrokenNike, IdealNike, NoExactRoute, ToyDhNike
 from .nogo import (
     ClassicalKeyProtocol,
     affine_hash_key_function,
@@ -333,8 +333,8 @@ _NIQKD_AGREE = {
 
 
 def _niqkd(cfg: RunConfig) -> list[ResultRecord]:
-    """Empirical one-round runs plus the exact key-versus-E ensemble when
-    the scheme enumerates and the adversary register fits the caps.
+    """Empirical one-round runs plus the exact key-versus-E ensemble where
+    ``weak_security_report`` has an exact route, that is, raises no NoExactRoute.
 
     The one trial loop also scores the decoder against the final key: a
     trial whose keys agree scores 1 when Alice's guess is right, and one
@@ -373,25 +373,25 @@ def _niqkd(cfg: RunConfig) -> list[ResultRecord]:
                                  rec_rate, bound=1.0,
                                  passed=rec_rate == 1.0, **common))
 
-    e_qubits = 0 if adv is None else adv.e_qubits
-    full_dim = 2 ** e_qubits * (2 ** cfg.n if cfg.scheme == "broken" else 1)
-    if cfg.scheme in ("ideal", "broken") and cfg.n <= 4 and e_qubits <= 4 and full_dim <= 64:
+    try:
         rep = weak_security_report(scheme, cfg.n, adv, rng_substream(cfg.seed, 1))
-        sane = -q.ATOL_EIG <= rep.hmin_lower <= rep.hmin_upper <= cfg.n + q.ATOL_EIG
-        rows.append(ResultRecord(cfg.experiment, cfg.seed, "hmin_lower",
-                                 rep.hmin_lower, passed=sane, **common))
-        rows.append(ResultRecord(cfg.experiment, cfg.seed, "hmin_upper",
-                                 rep.hmin_upper, bound=float(cfg.n), passed=sane, **common))
-        if decode:
-            # empirical decoder success may not beat the certified optimum
-            guess_rate = guessed / cfg.trials
-            err = _binomial_stderr(rep.bracket.upper, cfg.trials)
-            rows.append(ResultRecord(
-                cfg.experiment, cfg.seed, "eve_guess_rate", guess_rate,
-                stderr=_binomial_stderr(guess_rate, cfg.trials),
-                bound=rep.bracket.upper,
-                passed=guess_rate <= rep.bracket.upper + q.ATOL_EIG + 4 * err,
-                **common))
+    except NoExactRoute:
+        return rows
+    sane = -q.ATOL_EIG <= rep.hmin_lower <= rep.hmin_upper <= cfg.n + q.ATOL_EIG
+    rows.append(ResultRecord(cfg.experiment, cfg.seed, "hmin_lower",
+                             rep.hmin_lower, passed=sane, **common))
+    rows.append(ResultRecord(cfg.experiment, cfg.seed, "hmin_upper",
+                             rep.hmin_upper, bound=float(cfg.n), passed=sane, **common))
+    if decode:
+        # empirical decoder success may not beat the certified optimum
+        guess_rate = guessed / cfg.trials
+        err = _binomial_stderr(rep.bracket.upper, cfg.trials)
+        rows.append(ResultRecord(
+            cfg.experiment, cfg.seed, "eve_guess_rate", guess_rate,
+            stderr=_binomial_stderr(guess_rate, cfg.trials),
+            bound=rep.bracket.upper,
+            passed=guess_rate <= rep.bracket.upper + q.ATOL_EIG + 4 * err,
+            **common))
     return rows
 
 
@@ -400,7 +400,7 @@ def _niqkd(cfg: RunConfig) -> list[ResultRecord]:
 
 def _two_round(cfg: RunConfig) -> list[ResultRecord]:
     """Composed runs with the cross-check round; everlasting-distance rows
-    appear only for configurations with an exact route."""
+    appear only where ``everlasting_distance_report`` raises no NoExactRoute."""
     scheme = SCHEMES[cfg.scheme](cfg.n)
     adv = _TWO_ROUND_ADVERSARIES[cfg.adversary](cfg.n)
 
@@ -429,16 +429,14 @@ def _two_round(cfg: RunConfig) -> list[ResultRecord]:
                              bound=1.0 if adv is None else None,
                              passed=succ == 1.0 if adv is None else True, **common))
 
-    exact_passive = adv is None and cfg.n <= 2 and cfg.m == 1
-    exact_swap = (cfg.adversary == "swap_epr_sub0" and cfg.scheme == "ideal"
-                  and cfg.n == 1 and cfg.m == 1)
-    if exact_passive or exact_swap:
-        d_a, d_b = everlasting_distance_report(scheme, cfg.n, cfg.m, adv,
-                                               rng_substream(cfg.seed, 1))
-        eps = 2.0 ** -cfg.m
-        for metric, d in (("everlasting_dist_a", d_a), ("everlasting_dist_b", d_b)):
-            rows.append(ResultRecord(cfg.experiment, cfg.seed, metric, d,
-                                     bound=eps, passed=d <= eps + q.ATOL_EIG, **common))
+    try:
+        d_a, d_b = everlasting_distance_report(scheme, cfg.n, cfg.m, adv)
+    except NoExactRoute:
+        return rows
+    eps = 2.0 ** -cfg.m
+    for metric, d in (("everlasting_dist_a", d_a), ("everlasting_dist_b", d_b)):
+        rows.append(ResultRecord(cfg.experiment, cfg.seed, metric, d,
+                                 bound=eps, passed=d <= eps + q.ATOL_EIG, **common))
     return rows
 
 

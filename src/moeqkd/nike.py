@@ -213,31 +213,28 @@ def theta_of_public(p: tuple) -> tuple[int, ...]:
     return tuple(pp[2])
 
 
+class NoExactRoute(ValueError):
+    """An exact route refuses this configuration; the message says why."""
+
+
 def enumerate_z(scheme, rng: np.random.Generator) -> list[tuple[ZSample, float]]:
     """Exact distribution of (p, theta) for schemes where it is small enough.
 
     IdealNike: theta is uniform and independent of p, so a single
     representative public tuple paired with every theta is the exact law.
     BrokenNike: p determines theta, so each theta gets its own public tuple.
-    Other schemes have no tractable enumeration and raise.
+    Other schemes have no tractable enumeration and raise NoExactRoute.
     """
     n = scheme.n
     if n > 4:
-        raise ValueError("enumeration is limited to n <= 4")
+        raise NoExactRoute("enumeration is limited to n <= 4")
+    weight = 1.0 / 2**n
+    thetas = [int_to_bits(t, n) for t in range(2**n)]
     if isinstance(scheme, IdealNike):
-        sample = sample_z(scheme, rng)
-        weight = 1.0 / 2**n
-        return [
-            (ZSample(p=sample.p, theta=int_to_bits(t, n)), weight) for t in range(2**n)
-        ]
+        p = sample_z(scheme, rng).p
+        return [(ZSample(p=p, theta=theta), weight) for theta in thetas]
     if isinstance(scheme, BrokenNike):
-        out = []
-        weight = 1.0 / 2**n
-        for t in range(2**n):
-            theta = int_to_bits(t, n)
-            pp = ("broken", n, theta)
-            pk_a = "pka"
-            pk_b = "pkb"
-            out.append((ZSample(p=(pp, pk_a, pk_b), theta=theta), weight))
-        return out
-    raise ValueError(f"scheme {scheme.name!r} is not enumerable")
+        # theta sits in the public parameters; the public keys are placeholders
+        return [(ZSample(p=(("broken", n, theta), "pka", "pkb"), theta=theta), weight)
+                for theta in thetas]
+    raise NoExactRoute(f"scheme {scheme.name!r} is not enumerable")

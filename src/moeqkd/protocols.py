@@ -30,13 +30,14 @@ from typing import Callable
 
 import numpy as np
 
-from .entropy import CqEnsemble, GuessBracket, pguess
+from .entropy import MAX_DIM, CqEnsemble, GuessBracket, pguess
 from .hashing import CrHashFamily, gf_mul_table, uh_eval, uh_sample_seed
 from .nike import (
     IDENTITY_A,
     IDENTITY_B,
     BrokenNike,
     IdealNike,
+    NoExactRoute,
     break_toy_dh,
     enumerate_z,
     theta_of_public,
@@ -299,13 +300,13 @@ def weak_security_report(
     """
     e_qubits = adversary.e_qubits if adversary is not None else 0
     if e_qubits > MAX_EVE_QUBITS:
-        raise ValueError("E register too large for the exact path")
-    entries = enumerate_z(scheme, rng)
+        raise NoExactRoute("E register too large for the exact path")
     reveal_theta = isinstance(scheme, BrokenNike)
     e_dim = 2**e_qubits
     full_dim = e_dim * (2**n if reveal_theta else 1)
-    if full_dim > 64:
-        raise ValueError("ensemble dimension exceeds the SDP cap")
+    if full_dim > MAX_DIM:
+        raise NoExactRoute("ensemble dimension exceeds the SDP cap")
+    entries = enumerate_z(scheme, rng)
 
     blocks = [np.zeros((full_dim, full_dim), dtype=np.complex128) for _ in range(2**n)]
     agree = 0.0
@@ -353,7 +354,7 @@ def _passive_distance(n: int, m: int) -> float:
     ell = extract_bits(n, m)
     size = 2**bits
     if size > 16 or m != 1:
-        raise ValueError("exact passive route limited to n <= 2, m = 1")
+        raise NoExactRoute("exact passive route limited to n <= 2, m = 1")
     tab = gf_mul_table(bits) >> (bits - ell)  # tab[a, x] in {0, 1} since ell = 1
     masks = np.arange(2**size, dtype=np.uint64)
     member = ((masks[:, None] >> np.arange(size, dtype=np.uint64)[None, :]) & 1).astype(np.float64)
@@ -382,7 +383,7 @@ def _swap_distance(n: int, m: int) -> tuple[float, float]:
     gives the trace norms, and they are summed in configuration order.
     """
     if n != 1 or m != 1:
-        raise ValueError("exact swap route limited to n = 1, m = 1")
+        raise NoExactRoute("exact swap route limited to n = 1, m = 1")
     bits = 2  # raw key width
     ell = extract_bits(n, m)
     size = 2**bits
@@ -439,21 +440,21 @@ def _swap_distance(n: int, m: int) -> tuple[float, float]:
     return dist[0], dist[1]
 
 
-def everlasting_distance_report(scheme, n: int, m: int, adversary, rng: np.random.Generator) -> tuple[float, float]:
+def everlasting_distance_report(scheme, n: int, m: int, adversary) -> tuple[float, float]:
     """Exact trace distance between (view, extracted key) and (view, fresh
     uniform key), for Alice's and Bob's outputs; the None branches coincide
     by construction and cancel.
 
     Supported exactly: no adversary (any scheme, n <= 2, m = 1) and the
-    swap attack on the first sub-instance (IdealNike, n = 1, m = 1).
+    swap attack on the first sub-instance (IdealNike, n = 1, m = 1). Any
+    other configuration raises NoExactRoute, and the harness omits its rows.
     """
     if adversary is None:
         d = _passive_distance(n, m)
         return d, d
-    if isinstance(adversary, (tuple, list)) and adversary[1] is None and adversary[0] is not None:
-        if adversary[0].name != "swap_epr":
-            raise ValueError("no exact route for this adversary")
-        if not isinstance(scheme, IdealNike):
-            raise ValueError("exact swap route assumes an opaque public tuple")
-        return _swap_distance(n, m)
-    raise ValueError("no exact route for this adversary")
+    sub0, sub1 = adversary if isinstance(adversary, (tuple, list)) else (adversary, adversary)
+    if sub1 is not None or sub0 is None or sub0.name != "swap_epr":
+        raise NoExactRoute("no exact route for this adversary")
+    if not isinstance(scheme, IdealNike):
+        raise NoExactRoute("exact swap route assumes an opaque public tuple")
+    return _swap_distance(n, m)

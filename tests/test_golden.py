@@ -109,6 +109,9 @@ CSV_GRID = {
                                         n=2, trials=100),
     "two_round_swap_epr_sub0_n1.csv": dict(experiment="two-round", adversary="swap_epr_sub0",
                                            n=1, m=1, trials=100),
+    # the exact swap route refuses n = 2, so this pin holds no everlasting_dist rows
+    "two_round_swap_epr_sub0_n2.csv": dict(experiment="two-round", adversary="swap_epr_sub0",
+                                           n=2, m=1, trials=100),
     "two_round_passive_n2.csv": dict(experiment="two-round", scheme="ideal", adversary="none",
                                      n=2, m=1, trials=100),
     "two_round_passive_n2.json": dict(experiment="two-round", scheme="ideal", adversary="none",

@@ -16,8 +16,10 @@ from moeqkd import harness
 from moeqkd.cli import main
 from moeqkd.harness import (
     _RUNNERS,
+    _TWO_ROUND_ADVERSARIES,
     CSV_COLUMNS,
     PARAMETERS,
+    SCHEMES,
     ResultRecord,
     RunConfig,
     records_to_csv,
@@ -26,7 +28,9 @@ from moeqkd.harness import (
     run,
     sample_transcript,
 )
+from moeqkd.nike import NoExactRoute
 from moeqkd.nogo import nogo_bound
+from moeqkd.protocols import BUILTIN_ADVERSARIES, everlasting_distance_report, weak_security_report
 from moeqkd.quantum import MAX_DENSITY_QUBITS
 
 PASSIVE_DIST_N2 = 0.18888235642225482
@@ -246,6 +250,45 @@ def test_two_round_swap_sub0_skips_inexact_distance():
     rows = {r.metric: r for r in run(cfg)}
     assert "everlasting_dist_a" not in rows
     assert rows["verify_mismatch_rate"].bound == 2.0 * 2.0**-4
+
+
+def _route_values(route):
+    """The route's result, or None when it refuses; any other error propagates."""
+    try:
+        return route()
+    except NoExactRoute:
+        return None
+
+
+def test_exact_rows_appear_exactly_where_the_route_has_one():
+    cases = [("niqkd", s, a, n, 1) for s in SCHEMES for a in BUILTIN_ADVERSARIES for n in (1, 2)]
+    cases += [("niqkd", s, "swap_epr", 3, 1) for s in SCHEMES]
+    cases += [("two-round", s, a, n, m) for s in SCHEMES for a in _TWO_ROUND_ADVERSARIES
+              for n in (1, 2) for m in (1, 2)]
+    # the one slow ensemble (1 s); niqkd_swap_epr_broken_n2.csv pins its rows
+    cases.remove(("niqkd", "broken", "swap_epr", 2, 1))
+    seen = set()
+    for experiment, scheme, adversary, n, m in cases:
+        if experiment == "niqkd":
+            cfg = RunConfig(experiment, seed=1, scheme=scheme, adversary=adversary, n=n, trials=1)
+            rep = _route_values(lambda: weak_security_report(
+                SCHEMES[scheme](n), n, BUILTIN_ADVERSARIES[adversary](n), rng_substream(1, 1)))
+            want = None if rep is None else {"hmin_lower": rep.hmin_lower,
+                                             "hmin_upper": rep.hmin_upper}
+        else:
+            cfg = RunConfig(experiment, seed=1, scheme=scheme, adversary=adversary, n=n, m=m,
+                            trials=2)
+            dist = _route_values(lambda: everlasting_distance_report(
+                SCHEMES[scheme](n), n, m, _TWO_ROUND_ADVERSARIES[adversary](n)))
+            want = None if dist is None else dict(zip(("everlasting_dist_a",
+                                                       "everlasting_dist_b"), dist))
+        rows = {r.metric: r.value for r in run(cfg)}
+        exact = {k: v for k, v in rows.items() if k.startswith(("hmin_", "everlasting_dist_"))}
+        assert exact == (want or {}), cfg
+        assert want is not None or "eve_guess_rate" not in rows, cfg
+        seen.add((experiment, want is not None))
+    # both verdicts occur for both routes
+    assert len(seen) == 4
 
 
 def test_nogo_rows_pin_bound():

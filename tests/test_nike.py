@@ -8,6 +8,7 @@ from moeqkd.nike import (
     TOY_DH_SECRET_BITS,
     BrokenNike,
     IdealNike,
+    NoExactRoute,
     ToyDhNike,
     ZSample,
     break_toy_dh,
@@ -207,9 +208,9 @@ def test_enumerate_z_broken():
 
 def test_enumerate_z_limits():
     rng = np.random.default_rng(72)
-    with pytest.raises(ValueError):
+    with pytest.raises(NoExactRoute, match="scheme 'toydh' is not enumerable"):
         enumerate_z(ToyDhNike(2), rng)
-    with pytest.raises(ValueError):
+    with pytest.raises(NoExactRoute, match="enumeration is limited to n <= 4"):
         enumerate_z(IdealNike(5), rng)
 
 

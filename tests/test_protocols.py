@@ -5,10 +5,10 @@ from math import log2
 import numpy as np
 import pytest
 
-from moeqkd import harness
+from moeqkd import harness, protocols
 from moeqkd.entropy import CqEnsemble, pguess
 from moeqkd.hashing import CrHash, CrHashFamily, uh_eval
-from moeqkd.nike import BrokenNike, IdealNike, ToyDhNike
+from moeqkd.nike import BrokenNike, IdealNike, NoExactRoute, ToyDhNike
 from moeqkd.protocols import (
     AdversaryChannel,
     Transcript,
@@ -282,10 +282,20 @@ def test_weak_report_decoder_errors_propagate(monkeypatch):
     assert "eve_guess_rate" not in {r.metric for r in rows} and not calls
 
 
-def test_weak_report_rejects_oversized_adversary():
+def test_weak_report_rejects_oversized_adversary(monkeypatch):
     rng = np.random.default_rng(23)
-    with pytest.raises(ValueError):
+    with pytest.raises(NoExactRoute, match="E register too large"):
         weak_security_report(IdealNike(3), 3, swap_epr_attack(3), rng)
+    with pytest.raises(NoExactRoute, match="enumeration is limited to n <= 4"):
+        weak_security_report(IdealNike(5), 5, None, rng)
+    with pytest.raises(NoExactRoute, match="'toydh' is not enumerable"):
+        weak_security_report(ToyDhNike(1), 1, None, rng)
+    # the dimension is refused before the (p, theta) law is enumerated
+    calls = []
+    monkeypatch.setattr(protocols, "enumerate_z", lambda *args: calls.append(args))
+    with pytest.raises(NoExactRoute, match="ensemble dimension exceeds the SDP cap"):
+        weak_security_report(BrokenNike(4), 4, entangling_relay_adversary(4), rng)
+    assert not calls
 
 
 def test_two_round_honest_all_schemes():
@@ -413,20 +423,16 @@ def test_digest_model_matches_keyed_hash_family():
 
 
 def test_everlasting_report_passive_pins_and_extractor_bound():
-    rng = np.random.default_rng(31)
-    d_a, d_b = everlasting_distance_report(IdealNike(2), 2, 1, None, rng)
+    d_a, d_b = everlasting_distance_report(IdealNike(2), 2, 1, None)
     assert d_a == d_b
     assert abs(d_a - PASSIVE_DIST_N2) <= 1e-9
     assert d_a <= 0.5  # extractor epsilon at m = 1
-    d1, _ = everlasting_distance_report(BrokenNike(1), 1, 1, None, rng)
+    d1, _ = everlasting_distance_report(BrokenNike(1), 1, 1, None)
     assert abs(d1 - PASSIVE_DIST_N1) <= 1e-9
 
 
 def test_everlasting_report_swap_route():
-    rng = np.random.default_rng(32)
-    d_a, d_b = everlasting_distance_report(
-        IdealNike(1), 1, 1, (swap_epr_attack(1), None), rng
-    )
+    d_a, d_b = everlasting_distance_report(IdealNike(1), 1, 1, (swap_epr_attack(1), None))
     assert abs(d_a - d_b) <= 1e-12  # role symmetry of the construction
     assert abs(d_a - SWAP_DIST_N1) <= 1e-9
     assert d_a <= 0.5
@@ -438,22 +444,20 @@ def test_swap_distance_is_pinned_bit_for_bit():
 
 
 def test_everlasting_report_route_errors():
-    rng = np.random.default_rng(33)
-    with pytest.raises(ValueError):
-        everlasting_distance_report(IdealNike(2), 2, 2, None, rng)
-    with pytest.raises(ValueError):
-        everlasting_distance_report(IdealNike(3), 3, 1, None, rng)
-    with pytest.raises(ValueError):
-        everlasting_distance_report(ToyDhNike(1), 1, 1, (swap_epr_attack(1), None), rng)
-    with pytest.raises(ValueError):
-        everlasting_distance_report(
-            IdealNike(1), 1, 1, (identity_adversary(1), None), rng
-        )
-    with pytest.raises(ValueError):
-        everlasting_distance_report(
-            IdealNike(1), 1, 1, entangling_relay_adversary(1), rng
-        )
-    with pytest.raises(ValueError):
+    passive = "exact passive route limited to n <= 2, m = 1"
+    with pytest.raises(NoExactRoute, match=passive):
+        everlasting_distance_report(IdealNike(2), 2, 2, None)
+    with pytest.raises(NoExactRoute, match=passive):
+        everlasting_distance_report(IdealNike(3), 3, 1, None)
+    with pytest.raises(NoExactRoute, match="assumes an opaque public tuple"):
+        everlasting_distance_report(ToyDhNike(1), 1, 1, (swap_epr_attack(1), None))
+    for adversary in ((identity_adversary(1), None), entangling_relay_adversary(1),
+                      (None, swap_epr_attack(1))):
+        with pytest.raises(NoExactRoute, match="no exact route for this adversary"):
+            everlasting_distance_report(IdealNike(1), 1, 1, adversary)
+    with pytest.raises(NoExactRoute, match="exact swap route limited to n = 1, m = 1"):
+        everlasting_distance_report(IdealNike(2), 2, 1, (swap_epr_attack(2), None))
+    with pytest.raises(NoExactRoute, match="exact swap route limited to n = 1, m = 1"):
         _swap_distance(2, 1)
 
 

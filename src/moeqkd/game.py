@@ -23,6 +23,8 @@ import numpy as np
 from .nike import enumerate_z, sample_z, theta_of_public
 from .quantum import (
     MAX_DENSITY_QUBITS,
+    _cdf,
+    _search,
     agreement_projector,
     assert_povm,
     assert_state,
@@ -47,6 +49,8 @@ class Strategy:
     prep maps the public tuple to a normalized vector on A, B, C; the POVM
     returned for a basis string has one element per key in {0,1}^n, indexed
     by integer value. Mixed preparations are modeled by purifying into C.
+    A prep that returns the same read-only array is checked and rotated once
+    per theta by ``sampled_pwin``.
     """
 
     name: str
@@ -77,6 +81,7 @@ class GameResult:
 def honest_strategy(n: int) -> Strategy:
     """A and B share maximally entangled pairs; C guesses uniformly."""
     psi = epr_block_state(n)
+    psi.flags.writeable = False  # already so when cached (4^n <= 256)
 
     def prep(p):
         return psi
@@ -101,6 +106,7 @@ def intercept_resend_strategy(n: int) -> Strategy:
     for x in range(dim):
         psi[x, 0, x] = 1.0 / np.sqrt(dim)
     psi = psi.reshape(-1)
+    psi.flags.writeable = False
 
     def prep(p):
         return psi
@@ -136,6 +142,7 @@ def random_strategy(n: int, c_qubits: int, rng: np.random.Generator) -> Strategy
     """Haar-random preparation and a fresh random POVM per theta, frozen at
     construction so repeated queries are consistent."""
     psi = haar_state(2 ** (2 * n + c_qubits), rng)
+    psi.flags.writeable = False
     povms = {}
     for t in range(2**n):
         theta = int_to_bits(t, n)
@@ -151,8 +158,8 @@ BUILTIN_STRATEGIES = {
 }
 
 
-def _checked_prep(strategy: Strategy, p: tuple) -> np.ndarray:
-    psi = np.asarray(strategy.prep(p), dtype=np.complex128)
+def _checked(prepared) -> np.ndarray:
+    psi = np.asarray(prepared, dtype=np.complex128)
     assert_state(psi)
     return psi
 
@@ -167,7 +174,7 @@ def exact_pwin(scheme, strategy: Strategy, n: int) -> GameResult:
     pwin = 0.0
     agree = 0.0
     for z, weight in entries:
-        psi = _checked_prep(strategy, z.p)
+        psi = _checked(strategy.prep(z.p))
         q = assert_povm(strategy.charlie_povm(z.theta), c_dim)
         uc = theta_unitary(z.theta).conj()
         # row k: <kk|_theta psi. Only the agreement diagonal of the joint
@@ -179,19 +186,33 @@ def exact_pwin(scheme, strategy: Strategy, n: int) -> GameResult:
 
 
 def sampled_pwin(scheme, strategy: Strategy, n: int, trials: int, rng: np.random.Generator) -> GameResult:
-    """Monte-Carlo run of the full game; stderr is the binomial estimate."""
+    """Monte-Carlo run of the full game; stderr is the binomial estimate.
+
+    Within one call the state's check, its theta-basis amplitudes and the
+    outcome cdf are kept per theta, beside the prepared array. They are reused
+    only when prep returns that same array object and it is read-only; any
+    other return is checked and rotated afresh. Each trial still takes its own
+    draws in the same order, so the result and the generator's final state
+    are those of checking and rotating every trial.
+    """
     if strategy.n != n:
         raise ValueError("strategy length mismatch")
     c_dim = 2**strategy.c_qubits
     stacks: dict[tuple[int, ...], np.ndarray] = {}
+    laws: dict[tuple[int, ...], tuple[object, np.ndarray, np.ndarray]] = {}
     wins = 0
     agrees = 0
     for _ in range(trials):
         z = sample_z(scheme, rng)
-        psi = _checked_prep(strategy, z.p)
-        amp = theta_amplitudes(psi, z.theta, c_dim).reshape(4**n, c_dim)
-        probs = (np.abs(amp) ** 2).sum(axis=1)
-        x = draw_index(probs / probs.sum(), rng)
+        raw = strategy.prep(z.p)
+        law = laws.get(z.theta)
+        read_only = isinstance(raw, np.ndarray) and not raw.flags.writeable
+        if not (read_only and law is not None and law[0] is raw):
+            amp = theta_amplitudes(_checked(raw), z.theta, c_dim).reshape(4**n, c_dim)
+            probs = (np.abs(amp) ** 2).sum(axis=1)
+            laws[z.theta] = law = (raw, amp, _cdf(probs / probs.sum()))
+        _, amp, cdf = law
+        x = _search(cdf, rng)
         ka, kb = divmod(x, 2**n)
         if z.theta not in stacks:
             stacks[z.theta] = assert_povm(strategy.charlie_povm(z.theta), c_dim)
@@ -343,7 +364,7 @@ def distinguisher_advantage(
     for _ in range(trials):
         z = sample_z(scheme, rng)
         theta_star = tuple(int(b) for b in rng.integers(0, 2, size=n))
-        psi = _checked_prep(strategy, z.p)
+        psi = _checked(strategy.prep(z.p))
         t = psi.reshape(4**n, c_dim)
         prob1 = float(np.einsum("ac,ab,bc->", t.conj(), m1, t).real)
         outcome = 1 if rng.random() < prob1 else 0

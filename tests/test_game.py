@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moeqkd import game
 from moeqkd.game import (
+    BUILTIN_STRATEGIES,
     GameResult,
     _averaged_agreement_m1,
     Strategy,
@@ -20,13 +22,17 @@ from moeqkd.game import (
     verify_fixed_theta_bound,
     verify_random_theta_bound,
 )
-from moeqkd.nike import BrokenNike, IdealNike, ToyDhNike
+from moeqkd.nike import BrokenNike, IdealNike, ToyDhNike, sample_z
 from moeqkd.quantum import (
+    assert_povm,
+    assert_state,
+    draw_index,
     epr_block_state,
     haar_state,
     int_to_bits,
     random_density_operator,
     random_povm,
+    theta_amplitudes,
     theta_basis_state,
     theta_unitary,
 )
@@ -129,6 +135,116 @@ def test_sampled_builds_each_povm_once_per_theta():
     sampled_pwin(IdealNike(2), replace(base, charlie_povm=counting_povm), 2, 200,
                  np.random.default_rng(6))
     assert len(calls) == len(set(calls)) <= 2**2
+
+
+def test_sampled_checks_a_fixed_read_only_state_once_per_theta(monkeypatch):
+    checks = []
+
+    def counting_check(state):
+        checks.append(state)
+        return assert_state(state)
+
+    monkeypatch.setattr(game, "assert_state", counting_check)
+    sampled_pwin(IdealNike(2), intercept_resend_strategy(2), 2, 200, np.random.default_rng(6))
+    assert 1 <= len(checks) <= 2**2
+    checks.clear()
+    # basis_reading builds a new state from every public tuple
+    sampled_pwin(BrokenNike(2), basis_reading_strategy(2), 2, 200, np.random.default_rng(6))
+    assert len(checks) == 200
+
+
+def test_sampled_checks_a_read_only_prep_on_its_first_trial():
+    bad = 2 * epr_block_state(1)
+    bad.flags.writeable = False
+    preps = []
+    strat = replace(honest_strategy(1), prep=lambda p: preps.append(p) or bad)
+    with pytest.raises(ValueError, match="not normalized"):
+        sampled_pwin(IdealNike(1), strat, 1, 20, np.random.default_rng(0))
+    assert len(preps) == 1
+
+
+@pytest.mark.parametrize("make", [
+    lambda: honest_strategy(2),
+    lambda: honest_strategy(5),  # epr_block_state is fresh and writable above 4^n = 256
+    lambda: intercept_resend_strategy(2),
+    lambda: random_strategy(2, 1, np.random.default_rng(0)),
+])
+def test_builtin_preps_return_one_read_only_state(make):
+    strat = make()
+    psi = strat.prep(())
+    assert strat.prep(()) is psi
+    with pytest.raises(ValueError, match="read-only"):
+        psi[0] = 0.0
+
+
+def _per_trial_sampled_pwin(scheme, strategy, n, trials, rng):
+    """sampled_pwin checking and rotating the prepared state on every trial."""
+    c_dim = 2**strategy.c_qubits
+    stacks = {}
+    wins = 0
+    agrees = 0
+    for _ in range(trials):
+        z = sample_z(scheme, rng)
+        psi = np.asarray(strategy.prep(z.p), dtype=np.complex128)
+        assert_state(psi)
+        amp = theta_amplitudes(psi, z.theta, c_dim).reshape(4**n, c_dim)
+        probs = (np.abs(amp) ** 2).sum(axis=1)
+        x = draw_index(probs / probs.sum(), rng)
+        ka, kb = divmod(x, 2**n)
+        if z.theta not in stacks:
+            stacks[z.theta] = assert_povm(strategy.charlie_povm(z.theta), c_dim)
+        probs = np.einsum("c,kcd,d->k", amp[x].conj(), stacks[z.theta], amp[x]).real
+        probs = np.clip(probs, 0.0, None)
+        kc = draw_index(probs / probs.sum(), rng)
+        if ka == kb:
+            agrees += 1
+            if ka == kc:
+                wins += 1
+    pwin = wins / trials
+    stderr = float(np.sqrt(max(pwin * (1 - pwin), 1e-12) / trials))
+    return GameResult(pwin=pwin, agree_rate=agrees / trials, stderr=stderr, trials=trials)
+
+
+def _memo_strategy(kind, n, c_qubits, seed):
+    """A fresh strategy per call, since the writable prep keeps state."""
+    if kind in BUILTIN_STRATEGIES:
+        return BUILTIN_STRATEGIES[kind](n)
+    base = random_strategy(n, c_qubits, np.random.default_rng(seed))
+    if kind == "random":
+        return base
+    rng = np.random.default_rng([seed, 1])
+    if kind == "writable":  # one array, changed in place between trials
+        psi = haar_state(2 ** (2 * n + c_qubits), rng)
+
+        def prep(p):
+            psi[:] = np.roll(psi, 1)
+            return psi
+    else:  # two read-only arrays, picked by the public tuple
+        states = [haar_state(2 ** (2 * n + c_qubits), rng) for _ in range(2)]
+        for v in states:
+            v.flags.writeable = False
+
+        def prep(p):
+            return states[sum(str(p[1]).encode()) % 2]
+    return replace(base, name=kind, prep=prep)
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 2),
+       st.sampled_from([IdealNike, ToyDhNike, BrokenNike]))
+def test_sampled_memo_is_the_per_trial_loop(seed, trials, c_qubits, custom_scheme):
+    cases = [(kind, make, n, 0) for kind in ("honest", "intercept_resend")
+             for make in (IdealNike, ToyDhNike, BrokenNike) for n in range(1, 5)]
+    cases += [("basis_reading", BrokenNike, n, 0) for n in range(1, 5)]
+    cases += [(kind, custom_scheme, n, c_qubits) for kind in ("random", "writable", "switching")
+              for n in range(1, 5)]
+    for kind, make, n, c in cases:
+        runs = []
+        for route in (sampled_pwin, _per_trial_sampled_pwin):
+            rng = np.random.default_rng(seed)
+            res = route(make(n), _memo_strategy(kind, n, c, seed), n, trials, rng)
+            runs.append((res, rng.bit_generator.state))
+        assert runs[0] == runs[1], (kind, make.__name__, n, c)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,7 +14,9 @@ import pytest
 
 from moeqkd import harness
 from moeqkd.cli import main
+from moeqkd.game import BUILTIN_STRATEGIES, exact_pwin
 from moeqkd.harness import (
+    _MOE_EXPECTED,
     _RUNNERS,
     _TWO_ROUND_ADVERSARIES,
     CSV_COLUMNS,
@@ -206,6 +208,18 @@ def test_moe_rejects_bad_inputs():
         run(RunConfig("moe", seed=1, scheme="toydh", exact=True))
     with pytest.raises(ValueError, match="scheme"):
         run(RunConfig("moe", seed=1, scheme="bogus"))
+
+
+def test_moe_expected_table_is_the_exact_value():
+    # every sampled moe verdict reads this table; the exact route computes the same values
+    assert _MOE_EXPECTED["random"] == (None, None)
+    for name, make in BUILTIN_STRATEGIES.items():
+        exp_pwin, exp_agree = _MOE_EXPECTED[name]
+        for scheme in ("broken",) if name == "basis_reading" else ("ideal", "broken"):
+            for n in (1, 2, 3):
+                res = exact_pwin(SCHEMES[scheme](n), make(n), n)
+                assert abs(res.pwin - exp_pwin(n)) <= 1e-12, (name, scheme, n)
+                assert abs(res.agree_rate - exp_agree(n)) <= 1e-12, (name, scheme, n)
 
 
 def test_niqkd_swap_decoder_recovers_toydh():

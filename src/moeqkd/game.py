@@ -121,7 +121,7 @@ def intercept_resend_strategy(n: int) -> Strategy:
 def basis_reading_strategy(n: int) -> Strategy:
     """Reads theta straight from the public tuple and aligns A = B = |0..0>
     in that basis; C outputs the all-zeros key. Only works against schemes
-    whose public tuple exposes theta; raises otherwise."""
+    whose public tuple exposes theta; raises BasisHidden otherwise."""
 
     def prep(p):
         theta = theta_of_public(p)

@@ -24,7 +24,7 @@ from .game import (
     verify_fixed_theta_bound,
     verify_random_theta_bound,
 )
-from .nike import BrokenNike, IdealNike, NoExactRoute, ToyDhNike
+from .nike import BasisHidden, BrokenNike, IdealNike, NoExactRoute, ToyDhNike
 from .nogo import (
     ClassicalKeyProtocol,
     affine_hash_key_function,
@@ -277,8 +277,6 @@ def _moe(cfg: RunConfig) -> list[ResultRecord]:
     if cfg.n > q.MAX_DENSITY_QUBITS:  # before a strategy builds its 4^n amplitudes
         raise ValueError(f"n = {cfg.n} exceeds the {q.MAX_DENSITY_QUBITS}-qubit dense cap")
     name = _STRATEGY_ALIASES.get(cfg.strategy, cfg.strategy)
-    if name == "basis_reading" and cfg.scheme != "broken":
-        raise ValueError("basis_reading needs a scheme whose public tuple carries the basis")
     if name == "random":
         strategy = random_strategy(cfg.n, min(cfg.n, 2), rng_substream(cfg.seed, 0))
     else:
@@ -347,15 +345,17 @@ def _niqkd(cfg: RunConfig) -> list[ResultRecord]:
     agree = 0
     recovered = 0
     guessed = 0.0
-    # the unbounded decoder phase needs the basis to be recoverable from
-    # the public tuple, which rules out the opaque-handle scheme
-    decode = adv is not None and adv.decoder is not None and cfg.scheme != "ideal"
+    decode = adv is not None and adv.decoder is not None
     for _ in range(cfg.trials):
         tx = run_niqkd(scheme, cfg.n, adv, rng)
         agreed = tx.k_a is not None and tx.k_a == tx.k_b
         agree += agreed
         if decode:
-            ga, gb = adv.decoder(tx, rng)
+            try:
+                ga, gb = adv.decoder(tx, rng)
+            except BasisHidden:  # refused before any draw: nothing is decoded
+                decode = False
+                continue
             if ga == tx.k_a and gb == tx.k_b:
                 recovered += 1
             guessed += (ga == tx.k_a) if agreed else 2.0 ** -cfg.n

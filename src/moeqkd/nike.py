@@ -5,10 +5,10 @@ without further interaction. Three instantiations span the security range the
 experiments need:
 
   IdealNike   theta is drawn by a trusted sampler and is statistically
-              independent of everything public.
+              independent of everything public: recovery raises BasisHidden.
   ToyDhNike   Diffie-Hellman modulo TOY_DH_PRIME = 65537; theta is hidden
               from a bounded observer but fully recoverable by brute-force
-              discrete log (see break_toy_dh).
+              discrete log (see recover_theta).
   BrokenNike  theta is printed inside the public parameters; used to show
               what fails when the public view determines the basis.
 
@@ -191,14 +191,12 @@ def discrete_log(prime: int, generator: int, value: int) -> int:
     return e
 
 
-def break_toy_dh(p: tuple) -> tuple[int, ...]:
-    """Recover theta from a ToyDhNike public tuple by brute-force discrete log.
-
-    Unbounded-adversary stand-in: everything here reads only public values.
-    """
+def recover_theta(p: tuple) -> tuple[int, ...]:
+    """Theta by unbounded work from public values: brute-force discrete log on
+    a ToyDhNike tuple, otherwise what theta_of_public reads or refuses."""
     pp, pk_a, pk_b = p
     if pp[0] != "toydh":
-        raise ValueError("not a ToyDhNike public tuple")
+        return theta_of_public(p)
     _, n, prime, generator, a, b = pp
     x = discrete_log(prime, generator, pk_a)
     secret = pow(pk_b, x, prime)
@@ -209,8 +207,12 @@ def theta_of_public(p: tuple) -> tuple[int, ...]:
     """Read theta straight from the public tuple; only BrokenNike permits this."""
     pp = p[0]
     if pp[0] != "broken":
-        raise ValueError("public tuple does not expose theta")
+        raise BasisHidden("the public tuple does not print the basis theta")
     return tuple(pp[2])
+
+
+class BasisHidden(ValueError):
+    """The public tuple keeps theta from this reader; raised before any draw."""
 
 
 class NoExactRoute(ValueError):

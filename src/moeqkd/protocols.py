@@ -38,9 +38,8 @@ from .nike import (
     BrokenNike,
     IdealNike,
     NoExactRoute,
-    break_toy_dh,
     enumerate_z,
-    theta_of_public,
+    recover_theta,
 )
 from .quantum import (
     bits_to_int,
@@ -61,7 +60,9 @@ class AdversaryChannel:
     returns a state on (kept, delivered, E) — a vector when the action is an
     isometry, a density matrix when it involves measurement. e_qubits fixes
     the width of E. decoder, when present, is the later unbounded phase:
-    it maps a finished transcript to guesses for both measured keys.
+    it maps a finished transcript to guesses for both measured keys, or
+    raises nike.BasisHidden, before any draw, when the public tuple keeps
+    theta from it.
     """
 
     name: str
@@ -157,11 +158,7 @@ def swap_epr_attack(n: int) -> AdversaryChannel:
         return out.reshape(-1)
 
     def decoder(transcript: Transcript, rng: np.random.Generator) -> tuple:
-        p = (transcript.pp, transcript.pk_a, transcript.pk_b)
-        if transcript.pp[0] == "broken":
-            theta = theta_of_public(p)
-        else:
-            theta = break_toy_dh(p)
+        theta = recover_theta((transcript.pp, transcript.pk_a, transcript.pk_b))
         bits, _ = measure_in_theta_basis(
             transcript.rho_e, list(range(2 * n)), theta + theta, rng
         )

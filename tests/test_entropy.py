@@ -112,6 +112,22 @@ def test_certificate_check_rejects_a_dual_changed_above_the_diagonal():
         _verify_certificates(ens.weighted(), b.povm, sigma)
 
 
+def test_certificate_check_rejects_a_lowered_dual():
+    ens = CqEnsemble([0, 1], np.array([0.5, 0.5]), [proj(KET0), proj(KETP)])
+    b = pguess(ens)
+    assert _verify_certificates(ens.weighted(), b.povm, b.sigma) == (b.lower, b.upper)
+    # sigma has eigenvalues 1/4 and 0.60, so only sigma - p_x rho_x goes negative
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        _verify_certificates(ens.weighted(), b.povm, b.sigma - 0.1 * np.eye(2))
+
+
+def test_certificate_check_rejects_a_povm_short_of_the_identity():
+    ens = CqEnsemble([0, 1], np.array([0.5, 0.5]), [proj(KET0), proj(KETP)])
+    b = pguess(ens)
+    with pytest.raises(ValueError, match="does not sum to the identity"):
+        _verify_certificates(ens.weighted(), [0.9 * e for e in b.povm], b.sigma)
+
+
 def test_pure_state_ensembles_across_sizes():
     rng = np.random.default_rng(37)
     for n_states, d in [(2, 2), (3, 4), (5, 8), (4, 16)]:

@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moeqkd import harness
+from moeqkd import harness, protocols
 from moeqkd.cli import main
 from moeqkd.game import BUILTIN_STRATEGIES, exact_pwin
 from moeqkd.harness import (
     _MOE_EXPECTED,
+    _NIQKD_AGREE,
     _RUNNERS,
     _TWO_ROUND_ADVERSARIES,
     CSV_COLUMNS,
@@ -30,7 +31,7 @@ from moeqkd.harness import (
     run,
     sample_transcript,
 )
-from moeqkd.nike import NoExactRoute
+from moeqkd.nike import BasisHidden, NoExactRoute, recover_theta, sample_z
 from moeqkd.nogo import nogo_bound
 from moeqkd.protocols import BUILTIN_ADVERSARIES, everlasting_distance_report, weak_security_report
 from moeqkd.quantum import MAX_DENSITY_QUBITS
@@ -222,6 +223,20 @@ def test_moe_expected_table_is_the_exact_value():
                 assert abs(res.agree_rate - exp_agree(n)) <= 1e-12, (name, scheme, n)
 
 
+def test_niqkd_agree_table_is_the_exact_value():
+    # every sampled niqkd verdict reads this table; the exact route computes the same values
+    assert _NIQKD_AGREE.keys() == BUILTIN_ADVERSARIES.keys()
+    for adversary, expected in _NIQKD_AGREE.items():
+        for scheme in ("ideal", "broken"):
+            for n in (1, 2, 3):
+                # swap_epr's route refuses n = 3; measure_resend's takes over 1 s there
+                if n == 3 and adversary in ("swap_epr", "measure_resend"):
+                    continue
+                rep = weak_security_report(SCHEMES[scheme](n), n,
+                                           BUILTIN_ADVERSARIES[adversary](n), rng_substream(1, 1))
+                assert abs(rep.agree_rate - expected(n)) <= 1e-12, (adversary, scheme, n)
+
+
 def test_niqkd_swap_decoder_recovers_toydh():
     cfg = RunConfig("niqkd", seed=3, scheme="toydh", adversary="swap_epr",
                     n=2, trials=150)
@@ -274,6 +289,15 @@ def _route_values(route):
         return None
 
 
+def _recoverable(scheme: str, n: int) -> bool:
+    """Whether recover_theta reads theta from the scheme's public tuple."""
+    try:
+        recover_theta(sample_z(SCHEMES[scheme](n), np.random.default_rng(0)).p)
+    except BasisHidden:
+        return False
+    return True
+
+
 def test_exact_rows_appear_exactly_where_the_route_has_one():
     cases = [("niqkd", s, a, n, 1) for s in SCHEMES for a in BUILTIN_ADVERSARIES for n in (1, 2)]
     cases += [("niqkd", s, "swap_epr", 3, 1) for s in SCHEMES]
@@ -283,12 +307,15 @@ def test_exact_rows_appear_exactly_where_the_route_has_one():
     cases.remove(("niqkd", "broken", "swap_epr", 2, 1))
     seen = set()
     for experiment, scheme, adversary, n, m in cases:
+        decodes = False
         if experiment == "niqkd":
             cfg = RunConfig(experiment, seed=1, scheme=scheme, adversary=adversary, n=n, trials=1)
+            adv = BUILTIN_ADVERSARIES[adversary](n)
             rep = _route_values(lambda: weak_security_report(
-                SCHEMES[scheme](n), n, BUILTIN_ADVERSARIES[adversary](n), rng_substream(1, 1)))
+                SCHEMES[scheme](n), n, adv, rng_substream(1, 1)))
             want = None if rep is None else {"hmin_lower": rep.hmin_lower,
                                              "hmin_upper": rep.hmin_upper}
+            decodes = adv is not None and adv.decoder is not None and _recoverable(scheme, n)
         else:
             cfg = RunConfig(experiment, seed=1, scheme=scheme, adversary=adversary, n=n, m=m,
                             trials=2)
@@ -299,10 +326,24 @@ def test_exact_rows_appear_exactly_where_the_route_has_one():
         rows = {r.metric: r.value for r in run(cfg)}
         exact = {k: v for k, v in rows.items() if k.startswith(("hmin_", "everlasting_dist_"))}
         assert exact == (want or {}), cfg
-        assert want is not None or "eve_guess_rate" not in rows, cfg
-        seen.add((experiment, want is not None))
-    # both verdicts occur for both routes
-    assert len(seen) == 4
+        assert ("decoder_recovery_rate" in rows) == decodes, cfg
+        assert ("eve_guess_rate" in rows) == (decodes and want is not None), cfg
+        seen.add((experiment, want is not None, decodes))
+    # both route verdicts occur for both routes, and each with and without a decoder for niqkd
+    assert len(seen) == 6
+
+
+def test_no_condition_in_harness_or_protocols_names_a_scheme():
+    # what a public tuple gives away is nike's to say, through BasisHidden and NoExactRoute
+    tags = {"ideal", "toydh", "broken"}
+    for module in (harness, protocols):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if not isinstance(node, ast.Compare):
+                continue
+            for sub in ast.walk(node):
+                names = (isinstance(sub, ast.Constant) and sub.value in tags
+                         or isinstance(sub, ast.Attribute) and sub.attr == "scheme")
+                assert not names, f"{module.__name__}:{node.lineno}: {ast.unparse(node)}"
 
 
 def test_nogo_rows_pin_bound():

@@ -6,14 +6,15 @@ from moeqkd.nike import (
     IDENTITY_A,
     IDENTITY_B,
     TOY_DH_SECRET_BITS,
+    BasisHidden,
     BrokenNike,
     IdealNike,
     NoExactRoute,
     ToyDhNike,
     ZSample,
-    break_toy_dh,
     discrete_log,
     enumerate_z,
+    recover_theta,
     sample_z,
     theta_of_public,
 )
@@ -162,26 +163,37 @@ def test_break_toy_dh_round_trip():
     rng = np.random.default_rng(64)
     for _ in range(100):
         z = sample_z(scheme, rng)
-        assert break_toy_dh(z.p) == z.theta
+        assert recover_theta(z.p) == z.theta
 
 
 def test_break_toy_dh_rejects_foreign_tuples():
     rng = np.random.default_rng(65)
     z = sample_z(IdealNike(2), rng)
     with pytest.raises(ValueError):
-        break_toy_dh(z.p)
+        recover_theta(z.p)
     with pytest.raises(ValueError, match="prime too large"):
-        break_toy_dh((("toydh", 2, (1 << 20) + 7, 3, 1, 0), 3, 9))
+        recover_theta((("toydh", 2, (1 << 20) + 7, 3, 1, 0), 3, 9))
+
+
+def test_ideal_tuples_refuse_recovery_before_any_draw():
+    rng = np.random.default_rng(68)
+    for n in (1, 4):
+        p = sample_z(IdealNike(n), rng).p
+        state = rng.bit_generator.state
+        for read in (theta_of_public, recover_theta):
+            with pytest.raises(BasisHidden, match="basis"):
+                read(p)
+        assert rng.bit_generator.state == state
 
 
 def test_broken_scheme_exposes_theta():
     scheme = BrokenNike(3)
     rng = np.random.default_rng(66)
     z = sample_z(scheme, rng)
-    assert theta_of_public(z.p) == z.theta
-    with pytest.raises(ValueError):
+    assert theta_of_public(z.p) == recover_theta(z.p) == z.theta
+    with pytest.raises(BasisHidden):
         theta_of_public(sample_z(IdealNike(2), rng).p)
-    with pytest.raises(ValueError):
+    with pytest.raises(BasisHidden):
         theta_of_public(sample_z(ToyDhNike(2), rng).p)
 
 

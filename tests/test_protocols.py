@@ -8,7 +8,7 @@ import pytest
 from moeqkd import harness, protocols
 from moeqkd.entropy import CqEnsemble, pguess
 from moeqkd.hashing import CrHash, CrHashFamily, uh_eval
-from moeqkd.nike import BrokenNike, IdealNike, NoExactRoute, ToyDhNike
+from moeqkd.nike import BasisHidden, BrokenNike, IdealNike, NoExactRoute, ToyDhNike
 from moeqkd.protocols import (
     AdversaryChannel,
     Transcript,
@@ -109,6 +109,17 @@ def test_swap_attack_decoder_recovers_both_keys():
     # keys are independent uniform, so agreement sits near 1/4
     sigma = (0.25 * 0.75 / 400) ** 0.5
     assert abs(agree / 400 - 0.25) <= 3 * sigma
+
+
+def test_swap_decoder_refuses_an_opaque_tuple_before_any_draw():
+    rng = np.random.default_rng(17)
+    for n in (1, 2):
+        adv = swap_epr_attack(n)
+        tx = run_niqkd(IdealNike(n), n, adv, rng)
+        state = rng.bit_generator.state
+        with pytest.raises(BasisHidden, match="basis"):
+            adv.decoder(tx, rng)
+        assert rng.bit_generator.state == state
 
 
 def test_weak_report_passive_is_two_bits_exact():
@@ -276,10 +287,10 @@ def test_weak_report_decoder_errors_propagate(monkeypatch):
     cfg = dict(experiment="niqkd", seed=24, adversary="swap_epr", n=1, trials=10)
     with pytest.raises(ValueError, match="decoder failed"):
         harness.run(harness.RunConfig(scheme="broken", **cfg))
-    # the opaque-handle scheme skips the decoder phase outright
+    # the opaque-handle scheme's decoder is asked once, refuses, and is not asked again
     calls.clear()
     rows = harness.run(harness.RunConfig(scheme="ideal", **cfg))
-    assert "eve_guess_rate" not in {r.metric for r in rows} and not calls
+    assert "eve_guess_rate" not in {r.metric for r in rows} and len(calls) == 1
 
 
 def test_weak_report_rejects_oversized_adversary(monkeypatch):
